@@ -30,7 +30,7 @@ import harness  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 EXPECTED_LIMITS = (8, 32)  # exact_field's default height and degree caps
 
 
@@ -50,16 +50,13 @@ def import_program():
 
 
 def cold_import_seconds():
-    """Median time to import the layer modules in a fresh interpreter."""
+    """Time to import the layer modules in a fresh interpreter."""
     code = ("import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
             + "; ".join(f"import ordtop.{m}" for m in tracing.LAYERS)
             + "; print(time.perf_counter() - t)")
-    times = []
-    for _ in range(SETUP_REPEATS):
-        done = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True,
-                              text=True, timeout=60, check=True)
-        times.append(float(done.stdout))
-    return statistics.median(times)
+    done = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True,
+                          text=True, timeout=60, check=True)
+    return float(done.stdout)
 
 
 def check_limits(exact_field, when):
@@ -77,14 +74,25 @@ def run(workload, seed, seconds, trace):
     if trace:
         tracer = tracing.Tracer()
         tracer.install(modules)
-    import_s = cold_import_seconds()
-    builds = []
+    # Set-up is timed SETUP_REPEATS times; each part is scaled by the mean
+    # of the two reference timings that bracket it.
+    refs = [harness.reference_seconds()]
+    imports, builds = [], []
+    for _ in range(SETUP_REPEATS):
+        imports.append(cold_import_seconds())
+        refs.append(harness.reference_seconds())
     for _ in range(SETUP_REPEATS):
         classes = None
+        gc.collect()  # every build starts from the same heap
         t0 = time.perf_counter()
         classes = wl.build(random.Random(seed))
         builds.append(time.perf_counter() - t0)
-    setup_s = import_s + statistics.median(builds)
+        refs.append(harness.reference_seconds())
+    speeds = [2 * harness.REF_NOMINAL_S / (a + b) for a, b in zip(refs, refs[1:])]
+    scaled = [t * f for t, f in zip(imports + builds, speeds)]
+    raw_setup_s = statistics.median(imports) + statistics.median(builds)
+    setup_s = (statistics.median(scaled[:SETUP_REPEATS])
+               + statistics.median(scaled[SETUP_REPEATS:]))
 
     # The input pools live for the whole run; keep them out of the
     # collector's full passes so their size does not tax the program.
@@ -93,9 +101,9 @@ def run(workload, seed, seconds, trace):
     res = harness.run_rounds(classes, seconds, tracer)
     check_limits(modules["exact_field"], "after")
 
-    tail, beyond = harness.tail_latency(res.latencies, wl.TAIL_PERCENTILE)
-    throughput = harness.better_quartile(res.round_rates, higher_is_better=True)
-    p50 = harness.better_quartile(res.round_p50s, higher_is_better=False) * 1e3
+    tail, beyond = harness.tail_latency(res.scaled, wl.TAIL_PERCENTILE)
+    throughput = res.throughput(res.scaled)
+    p50 = statistics.median(res.scaled) * 1e3
     if trace:
         metrics = {name: {"value": value, "unit": unit}
                    for name, value, unit in tracing.layer_metrics(tracer)}
@@ -115,13 +123,21 @@ def run(workload, seed, seconds, trace):
         "rounds": res.rounds,
         "timed_s": res.timed_s,
         "throughput_ops_s": throughput,
-        "setup_import_s": import_s,
-        "setup_build_s": builds,
+        "speed_median": statistics.median(res.speed),
+        "speed_min": min(res.speed),
+        "speed_max": max(res.speed),
+        "setup_speed": statistics.median(speeds),
+        "raw": {
+            "setup_s": raw_setup_s,
+            "setup_import_s": imports,
+            "setup_build_s": builds,
+            "throughput_ops_s": res.throughput(res.latencies),
+            "latency_p50_ms": statistics.median(res.latencies) * 1e3,
+            "latency_tail_ms": harness.tail_latency(res.latencies, wl.TAIL_PERCENTILE)[0],
+        },
         "tail_percentile": wl.TAIL_PERCENTILE,
         "samples": len(res.latencies),
         "samples_beyond_tail": beyond,
-        "round_ops_s": res.round_rates,
-        "round_p50_ms": [v * 1e3 for v in res.round_p50s],
         "per_class": res.per_class,
         "problems": res.problems[:20],
     }

@@ -22,7 +22,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import oracles as O  # noqa: E402
 import workloads  # noqa: E402
-from harness import CheckFailed, run_rounds, tail_latency  # noqa: E402
+from harness import CheckFailed, run_rounds, stratified, tail_latency  # noqa: E402
 
 from ordtop import exact_field as xf  # noqa: E402
 from ordtop import group_topology as gt  # noqa: E402
@@ -153,7 +153,7 @@ def test_gl4_fault_is_reproduced():
 def test_failures_are_counted_per_class():
     classes = [c for c in _classes("tower") if c.name in ("field_compare", "gl4_inv")]
     res = run_rounds(classes, 1e-9)
-    assert res.rounds == 1 and res.problems == [] and len(res.round_rates) == 1
+    assert res.rounds == 1 and res.problems == [] and len(res.scaled) == len(res.latencies)
     assert res.per_class["gl4_inv"] == {"attempted": 1, "failed": 1, "unexpected": 0,
                                         "seconds": res.per_class["gl4_inv"]["seconds"]}
     assert res.failed == 1 and res.attempted == sum(c.per_round for c in classes)
@@ -176,3 +176,26 @@ def test_tail_latency_has_ten_samples_beyond():
     lat = [i / 1000 for i in range(1000)]
     tail, beyond = tail_latency(lat, 99.0)
     assert beyond == 10 and tail == pytest.approx(989.0)
+
+
+def test_stratified_pool_has_fixed_makeup():
+    strata = ((10, 3), (50, 5), (100, 2))
+    for seed in (1, 2):
+        pool = stratified(random.Random(seed), lambda r: r.randrange(200), lambda x: x,
+                          strata)
+        assert len(pool) == 10 and all(x < 100 for x in pool)
+        assert [sum(lo <= x < hi for x in pool) for lo, hi in ((0, 10), (10, 50), (50, 100))] \
+            == [3, 5, 2]
+        # every half of the pool holds its share of the middle stratum
+        assert sum(10 <= x < 50 for x in pool[:5]) in (2, 3)
+
+
+def test_scaling_covers_every_operation():
+    classes = [c for c in _classes("tower") if c.name == "field_compare"]
+    res = run_rounds(classes, 0.25)
+    assert len(res.scaled) == len(res.latencies) and res.segment_ends[-1] == len(res.latencies)
+    assert len(res.refs) == len(res.segment_ends) + 1 == len(res.speed) + 1
+    for k, end in enumerate(res.segment_ends):
+        start = res.segment_ends[k - 1] if k else 0
+        assert all(s == pytest.approx(t * res.speed[k])
+                   for s, t in zip(res.scaled[start:end], res.latencies[start:end]))

@@ -1,8 +1,11 @@
 """sequences: the reduced-power fragment (eventually closed-form sequences).
 
 The pool holds 300 sequences whose tails are random rational functions
-of degree <= 2 (coefficients p/q with |p| <= 9, q <= 4).  Another 40
-have tails (n - r)/(n + 1) with r from 200 to 400; their distance to a
+of degree <= 2 (coefficients p/q with |p| <= 9, q <= 4).  The pool, and
+the pairs and triples drawn from it, have a fixed make-up by a cost
+proxy (terms of the tail; the benchmark's own estimate of the star
+metric's prefix length), so that seeds differ in details, not in cost.
+Another 40 have tails (n - r)/(n + 1) with r from 200 to 400; their distance to a
 constant (0 or +-1/4) changes closed form near n = r, so the settle
 bound and the prefix of the star-metric value run to hundreds of
 terms.  Interleaving runs on the geometric instance of the rp-metric
@@ -13,7 +16,7 @@ forbidden balls.
 from fractions import Fraction
 
 import oracles as O
-from harness import OpClass, expect
+from harness import OpClass, expect, stratified
 
 from ordtop import reduced_power as rp
 
@@ -50,6 +53,32 @@ def _sequence(rng, num, den):
 def _safe_cut(den, length):
     # Only shorten the prefix when no root of den hides below its length.
     return all(O.upoly_eval(den, i) != 0 for i in range(length))
+
+
+def _settle(x, y):
+    """The benchmark's estimate of star_metric(x, y)'s prefix length."""
+    num, den = O.tail_difference(x, y)
+    return max(O.root_bound(num, den, O.upoly_add(num, den),
+                            O.upoly_add(num, O.upoly_neg(den))),
+               len(x.prefix), len(y.prefix))
+
+
+def _triple_cost(xyz):
+    x, y, z = xyz
+    return 3 * _settle(x, y) + _settle(x, z) + _settle(y, z)
+
+
+# Make-up of the sequence pool by the tail's terms (numerator and
+# denominator coefficients), in the natural shares of random draws.
+POOL_STRATA = ((3, 42), (4, 65), (5, 100), (6, 62), (None, 31))
+
+# Make-up of the pair and triple pools by estimated prefix length: the
+# natural shares of random draws (deciles, and the 93rd and 97th
+# percentiles, over five seeds), without the rarest and dearest 1%.
+PAIR_STRATA = ((5, 360), (7, 120), (9, 120), (13, 120), (20, 120), (37, 120),
+               (88, 84), (400, 36))
+TRIPLE_STRATA = ((23, 60), (35, 60), (56, 60), (106, 60), (186, 30), (372, 21),
+                 (1200, 9))
 
 
 def _geometric(count):
@@ -159,15 +188,17 @@ def _check_baire(inp, out):
 
 
 def build(rng):
-    pool = [_sequence(rng, *_random_tail(rng)) for _ in range(300)]
+    pool = stratified(rng, lambda r: _sequence(r, *_random_tail(r)),
+                      lambda x: len(x.tail.num) + len(x.tail.den), POOL_STRATA)
     far = [_sequence(rng, *_far_root_tail(rng)) for _ in range(40)]
     near = [rp.EventualSeq.constant(c) for c in (0, Fraction(1, 4), Fraction(-1, 4))]
 
     def pick(k):
         return [pool[rng.randrange(len(pool))] for _ in range(k)]
 
-    pairs = [tuple(pick(2)) for _ in range(1200)]
-    triples = [tuple(pick(3)) for _ in range(300)]
+    pairs = stratified(rng, lambda r: tuple(pick(2)), lambda xy: _settle(*xy),
+                       PAIR_STRATA)
+    triples = stratified(rng, lambda r: tuple(pick(3)), _triple_cost, TRIPLE_STRATA)
     far_pairs = [(x, near[rng.randrange(3)]) for x in far]
     scales = [tuple(pick(2)) + (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),)
               for _ in range(800)]

@@ -5,20 +5,22 @@ Field operations run on random elements shaped like the field suite's
 <= 4, coefficients p/q with |p|, q <= 100).  Matrix operations run on
 GL2 and GL3 matrices over Q(a0)(a1) whose entries are quotients of
 polynomials of degree <= 2 over degree <= 1 with small coefficients,
-one in eight of them singular.  The GL4 inverse class is a fixed
-matrix, the same for every seed, on which `mat_inv` fails today.
+one in eight of them singular; the pools have a fixed make-up by size
+(terms in all entries), so that seeds differ in details, not in cost.
+The GL4 inverse class is a fixed matrix, the same for every seed, on
+which `mat_inv` fails today.
 """
 
 import random
 from fractions import Fraction
 
 import oracles as O
-from harness import OpClass, expect
+from harness import OpClass, expect, stratified
 
 from ordtop import exact_field as xf
 from ordtop import matrix_group as mg
 
-TAIL_PERCENTILE = 99.0
+TAIL_PERCENTILE = 98.0
 GL4_FAULT_SEED = 1  # seeds the fixed GL4 matrix; never the run's seed
 
 RADII_TEXT = ("1", "1/2", "2/3", "a0", "a0/3", "a0^2", "3")
@@ -58,6 +60,34 @@ def _matrix(rng, n, num_degree=2, den_degree=1, coeff=9, singular=False):
         c = _element(rng, 2, 1, 0, coeff)
         rows[-1] = [c * x + y for x, y in zip(rows[0], rows[1])]
     return mg.Matrix(rows)
+
+
+def _size(m):
+    """Terms in all numerators and denominators: what mat_mul, det and
+    mat_inv cost grows with."""
+    return sum(len(e.num) + len(e.den) for row in m.rows for e in row)
+
+
+# Make-up of the matrix pools by size: equal shares between the quintile
+# limits (quartiles for product pairs, medians for singular matrices) of
+# random draws.
+SIZE_STRATA = {
+    2: ((11, 17), (12, 17), (13, 17), (14, 17), (None, 16)),
+    3: ((26, 17), (28, 17), (29, 17), (31, 17), (None, 16)),
+}
+SINGULAR_STRATA = {2: ((19, 6), (None, 6)), 3: ((37, 6), (None, 6))}
+PRODUCT_STRATA = {
+    2: ((23, 8), (25, 8), (27, 8), (None, 8)),
+    3: ((54, 8), (57, 8), (59, 8), (None, 8)),
+}
+
+
+def _matrix_pool(rng, n):
+    """84 regular and 12 singular n x n matrices, one singular in eight."""
+    regular = stratified(rng, lambda r: _matrix(r, n), _size, SIZE_STRATA[n])
+    singular = stratified(rng, lambda r: _matrix(r, n, singular=True), _size,
+                          SINGULAR_STRATA[n])
+    return [singular.pop() if i % 8 == 7 else regular.pop() for i in range(96)]
 
 
 def _ball_matrix(rng, n, delta):
@@ -195,12 +225,11 @@ def build(rng):
     nonzero = [a for a in singles if not a.is_zero()]
     points = _points(rng)
 
-    def matrices(n, count):
-        return [(_matrix(rng, n, singular=(i % 8 == 7)), points) for i in range(count)]
-
-    gl2, gl3 = matrices(2, 96), matrices(3, 96)
-    products = [(_matrix(rng, n), _matrix(rng, n), points)
-                for n in (2, 3) for _ in range(32)]
+    gl2 = [(m, points) for m in _matrix_pool(rng, 2)]
+    gl3 = [(m, points) for m in _matrix_pool(rng, 3)]
+    products = [(a, b, points) for n in (2, 3) for a, b in stratified(
+        rng, lambda r: (_matrix(r, n), _matrix(r, n)),
+        lambda ab: _size(ab[0]) + _size(ab[1]), PRODUCT_STRATA[n])]
     radii = [xf.parse_element(t) for t in RADII_TEXT]
     one = xf.FieldElement.from_rational(1)
     balls = []
