@@ -3,9 +3,11 @@ decisions in free and free-abelian groups.
 
 Truncation semantics are one-sided throughout: a Yes answer carries a
 checkable factorization certificate, while NoUpTo(N) only rules out
-factorizations using at most N of the given sets.  Permutation
-enumeration shares prefix products across orders through the recursion
-tree, and is capped at 8 factors.
+factorizations using at most N of the given sets.  Symmetric products
+come from one depth-first generator over injective index sequences: it
+shares each prefix product among the orders extending it, drops partial
+products whose length the remaining sets can no longer bring into the
+wanted window, and is capped at 8 factors.
 """
 
 import re
@@ -245,56 +247,49 @@ class SymNoUpTo:
         return False
 
 
-class _Found(Exception):
-    def __init__(self, payload):
-        self.payload = payload
-
-
-def _sym_walk(group, sets, horizon, target=None, length_cap=None, collect=None):
+def _sym_walk(group, sets, horizon, lo=0, hi=None):
     """Depth-first walk over injective index sequences.
 
     Products along a prefix are computed once and shared by every
-    permutation extending it.  Complete initial segments {1..n} are
-    harvested; with a target the walk stops as soon as it appears.
+    permutation extending it.  At each complete initial segment {1..k}
+    the walk yields (k, sigma, products): sigma is the 1-based index
+    order and products maps every word reached to its first-found
+    factors.  The caller must not mutate products.
+
+    With hi set, a partial product w is kept iff
+    lo - r <= |w| <= hi + r, where r is the sum of the longest-word
+    lengths of the still-unused sets: only such words can still end
+    with a length in [lo, hi].  With hi None no lengths are computed.
     """
-    maxlens = [max((group.length(w) for w in s.words), default=0) for s in sets]
-    target_len = group.length(target) if target is not None else None
+    if hi is None:
+        maxlens = [0] * horizon
+    else:
+        maxlens = [max((group.length(w) for w in s.words), default=0)
+                   for s in sets[:horizon]]
 
-    def harvest(k, prefix, products):
-        for w, fac in products.items():
-            if collect is not None and w not in collect:
-                collect[w] = SymYes(k, tuple(i + 1 for i in prefix), fac)
-            if target is not None and w == target:
-                raise _Found(SymYes(k, tuple(i + 1 for i in prefix), fac))
-
-    def rec(prefix, used, products):
-        k = len(prefix)
+    def rec(sigma, used, products, room):
+        k = len(sigma)
         if k and used == (1 << k) - 1:
-            harvest(k, prefix, products)
+            yield k, sigma, products
         if k == horizon:
             return
         for nxt in range(horizon):
             bit = 1 << nxt
             if used & bit:
                 continue
-            budget = None
-            if target is not None or length_cap is not None:
-                room = sum(maxlens[i] for i in range(horizon)
-                           if not (used | bit) & (1 << i))
-                goal = target_len if target is not None else length_cap
-                budget = goal + room
+            rest = room - maxlens[nxt]
             nprod = {}
             for w, fac in products.items():
                 for b in sets[nxt].words:
                     nw = group.mul(w, b)
-                    if budget is not None and group.length(nw) > budget:
+                    if nw in nprod or (hi is not None and not
+                                       lo - rest <= group.length(nw) <= hi + rest):
                         continue
-                    if nw not in nprod:
-                        nprod[nw] = fac + (b,)
+                    nprod[nw] = fac + (b,)
             if nprod:
-                rec(prefix + (nxt,), used | bit, nprod)
+                yield from rec(sigma + (nxt + 1,), used | bit, nprod, rest)
 
-    rec((), 0, {group.identity: ()})
+    yield from rec((), 0, {group.identity: ()}, sum(maxlens))
 
 
 def sym_member(w, bs, horizon: int, cap: int = FACTOR_CAP):
@@ -306,14 +301,14 @@ def sym_member(w, bs, horizon: int, cap: int = FACTOR_CAP):
     bs = list(bs)
     if horizon > min(len(bs), cap):
         raise ValueError(f"horizon {horizon} exceeds the available sets or cap")
-    group = bs[0].group if bs else None
     w = tuple(w)
     if horizon == 0:
         return SymNoUpTo(0)
-    try:
-        _sym_walk(group, bs, horizon, target=w)
-    except _Found as found:
-        return found.payload
+    group = bs[0].group
+    length = group.length(w)
+    for k, sigma, products in _sym_walk(group, bs, horizon, length, length):
+        if w in products:
+            return SymYes(k, sigma, products[w])
     return SymNoUpTo(horizon)
 
 
@@ -327,9 +322,12 @@ def sym_set(bs, horizon: int, length_cap=None, cap: int = FACTOR_CAP) -> dict:
     bs = list(bs)
     if horizon > min(len(bs), cap):
         raise ValueError(f"horizon {horizon} exceeds the available sets or cap")
-    group = bs[0].group
     out: dict = {}
-    _sym_walk(group, bs, horizon, length_cap=length_cap, collect=out)
+    for k, sigma, products in _sym_walk(bs[0].group, bs, horizon,
+                                        hi=length_cap):
+        for w, fac in products.items():
+            if w not in out:
+                out[w] = SymYes(k, sigma, fac)
     return out
 
 
@@ -357,9 +355,7 @@ def v_phi(phi: PhiMap, support, group) -> SubsetSpec:
         for w in inner.words:
             words.add(group.conjugate(w, g))
             words.add(group.conjugate(group.inv(w), g))
-    out = SubsetSpec(group, words)
-    assert out.is_symmetric()
-    return out
+    return SubsetSpec(group, words)
 
 
 def i_of_entourage(pairs, group=None, abelian: bool = False):
@@ -385,9 +381,7 @@ def i_of_entourage(pairs, group=None, abelian: bool = False):
         wx = group.reduce(((x, -1), (y, 1)))
         words.add(wx)
         words.add(group.reduce(((x, 1), (y, -1))))
-    spec = SubsetSpec(group, words)
-    assert group.identity in spec.words and spec.is_symmetric()
-    return group, spec
+    return group, SubsetSpec(group, words)
 
 
 # --- SIN base membership ------------------------------------------------------

@@ -96,18 +96,24 @@ def _cleared_rows(a: Matrix):
 
 
 def _bareiss_forward(left, right, h):
-    """One-step fraction-free elimination; returns the pivot list."""
+    """One-step fraction-free elimination, in place.
+
+    Returns the sign of the row permutation, or 0 when the matrix is
+    singular.  Row k keeps its pivot in left[k][k]; the last pivot is
+    the determinant of the cleared rows.
+    """
     n = len(left)
     width = len(right[0])
     prev = P.const(1, h)
-    pivots = []
+    sign = 1
     for k in range(n):
         pivot_row = next((r for r in range(k, n) if left[r][k]), None)
         if pivot_row is None:
-            raise SingularMatrixError("matrix is singular over the tower field")
+            return 0
         if pivot_row != k:
             left[k], left[pivot_row] = left[pivot_row], left[k]
             right[k], right[pivot_row] = right[pivot_row], right[k]
+            sign = -sign
         piv = left[k][k]
         for i in range(k + 1, n):
             head = left[i][k]
@@ -119,37 +125,19 @@ def _bareiss_forward(left, right, h):
                 right[i][j] = P.p_divexact(num, prev) if num else {}
             left[i][k] = {}
         prev = piv
-        pivots.append(piv)
-    return pivots
+    return sign
 
 
 def det(a: Matrix) -> FieldElement:
     """Exact determinant via the fraction-free elimination."""
     left, multipliers, h = _cleared_rows(a)
-    right = [[] for _ in range(a.n)]
-    swaps = 0
-    n = a.n
-    prev = P.const(1, h)
-    sign = 1
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if left[r][k]), None)
-        if pivot_row is None:
-            return FieldElement.from_rational(0)
-        if pivot_row != k:
-            left[k], left[pivot_row] = left[pivot_row], left[k]
-            sign = -sign
-        piv = left[k][k]
-        for i in range(k + 1, n):
-            head = left[i][k]
-            for j in range(k + 1, n):
-                num = P.p_sub(P.p_mul(piv, left[i][j]), P.p_mul(head, left[k][j]))
-                left[i][j] = P.p_divexact(num, prev) if num else {}
-            left[i][k] = {}
-        prev = piv
+    sign = _bareiss_forward(left, [[] for _ in range(a.n)], h)
+    if not sign:
+        return FieldElement.from_rational(0)
     m = P.const(1, h)
     for mult in multipliers:
         m = P.p_mul(m, mult)
-    value = FieldElement(prev, m, h)
+    value = FieldElement(left[-1][-1], m, h)
     return -value if sign < 0 else value
 
 
@@ -158,12 +146,13 @@ def mat_inv(a: Matrix) -> Matrix:
     n = a.n
     right = [[multipliers[i] if i == j else {} for j in range(n)]
              for i in range(n)]
-    pivots = _bareiss_forward(left, right, h)
+    if not _bareiss_forward(left, right, h):
+        raise SingularMatrixError("matrix is singular over the tower field")
     # Back substitution over the field; divisions by pivots are exact
     # fractions of polynomials.
     inv_rows: list = [None] * n
     for i in range(n - 1, -1, -1):
-        d = FieldElement(pivots[i], P.const(1, h), h)
+        d = FieldElement(left[i][i], P.const(1, h), h)
         row = []
         for j in range(n):
             acc = FieldElement(right[i][j], P.const(1, h), h) if right[i][j] \

@@ -60,11 +60,6 @@ class MetricSpacePresentation:
                 raise ValueError(
                     f"triangle inequality fails on {x!r}, {y!r}, {z!r}")
 
-    def pair_distance(self, pair_a, pair_b) -> Fraction:
-        """Max metric on the square, fixed for all slack computations."""
-        return max(self.dist(pair_a[0], pair_b[0]),
-                   self.dist(pair_a[1], pair_b[1]))
-
     def distance_to_diagonal_compact(self, x, y, n: int) -> Fraction:
         """Distance from (x, y) to K~_n = {(k, k) : k in K_n}."""
         part = self.decomposition[n]
@@ -131,10 +126,6 @@ class Entourage:
     def contains(self, x, y) -> bool:
         raise NotImplementedError
 
-    @property
-    def description(self) -> str:
-        raise NotImplementedError
-
     def pairs(self, space: MetricSpacePresentation):
         for x in space.points:
             for y in space.points:
@@ -166,10 +157,6 @@ class ExplicitEntourage(Entourage):
     def contains(self, x, y) -> bool:
         return x == y or (x, y) in self.pair_set
 
-    @property
-    def description(self) -> str:
-        return f"explicit({len(self.pair_set)} pairs)"
-
 
 def _alpha_values(space, alpha):
     count = len(space.decomposition)
@@ -200,10 +187,6 @@ class UAlphaEntourage(Entourage):
         return any(
             self.space.distance_to_diagonal_compact(x, y, n) < r
             for n, r in enumerate(self._radii))
-
-    @property
-    def description(self) -> str:
-        return f"U_alpha(radii={[str(r) for r in self._radii]})"
 
 
 def u_alpha_member(space: MetricSpacePresentation, alpha, x, y) -> bool:
@@ -358,10 +341,6 @@ class UnionSquaresEntourage(Entourage):
 
     def contains(self, x, y) -> bool:
         return any(x in b and y in b for b in self.blocks)
-
-    @property
-    def description(self) -> str:
-        return f"union_of_squares({len(self.blocks)} blocks)"
 
 
 def countable_base(space: MetricSpacePresentation, point_bases,

@@ -145,6 +145,81 @@ def test_sym_set_certificates_verify():
         assert verify_certificate(F2, w, bs, cert)
 
 
+class CountingFreeGroup(FreeGroup):
+    def __init__(self, generators):
+        super().__init__(generators)
+        self.mul_calls = 0
+
+    def mul(self, u, v):
+        self.mul_calls += 1
+        return super().mul(u, v)
+
+
+def test_far_target_pruned_at_first_level():
+    group = CountingFreeGroup(("a", "b"))
+    texts = [("a", "b^-1"), ("a b", "e"), ("b^2",), ("a^-1", "b a"),
+             ("b", "a^2"), ("a b^-1", "b^-1")]
+    bs = [SubsetSpec.from_texts(group, t) for t in texts]
+    # the longest words sum to 11, so no product reaches length 12
+    target = group.parse("a^6 b^6")
+    group.mul_calls = 0
+    assert sym_member(target, bs, 6) == SymNoUpTo(6)
+    assert group.mul_calls <= sum(len(b) for b in bs)
+
+
+# Certificates of the depth-first walk: the visiting order and the first
+# factorization found per word.  n and sigma never depend on the iteration
+# order of the sets' words, which follows string hashing; the factors can,
+# so only words whose factors came out the same under 31 hash seeds are
+# pinned.
+PINNED_SETS = {
+    3: [["a", "b"], ["a", "a^-2", "b^-1 a^-1"], ["b", "e"]],
+    4: [["a^2", "b", "b^-1"], ["b", "b^-1"], ["a", "b a^-1", "b^-1 a^-1"],
+        ["a", "a^-1", "b^-1 a"]],
+    5: [["b a", "e"], ["b", "b^-1", "e"], ["b", "b a"], ["a^-1", "b^2"],
+        ["b^-1", "b^-2", "e"]],
+}
+
+
+@pytest.mark.parametrize("horizon, target, n, sigma, factors", [
+    (3, "b a b", 3, (1, 2, 3), ["b", "a", "b"]),
+    (4, "b^-1 a^-1 b^2 a", 4, (3, 1, 2, 4), ["b^-1 a^-1", "b", "b", "a"]),
+    (5, "b a b a^-1 b", 4, (1, 2, 4, 3), ["b a", "b", "a^-1", "b"]),
+])
+def test_sym_member_certificates_pinned(horizon, target, n, sigma, factors):
+    bs = [S(*t) for t in PINNED_SETS[horizon]]
+    assert sym_member(W(target), bs, horizon) == \
+        SymYes(n, sigma, tuple(W(f) for f in factors))
+
+
+@pytest.mark.parametrize("horizon, length_cap, size, pins", [
+    (3, None, 29, [("e", 3, (1, 3, 2), ["a", "b", "b^-1 a^-1"]),
+                   ("a^2 b", 3, (1, 2, 3), ["a", "a", "b"]),
+                   ("b^2 a^-2", 3, (1, 3, 2), ["b", "b", "a^-2"])]),
+    (3, 2, 14, [("a^2", 2, (1, 2), ["a", "a"]),
+                ("b^-1 a^-1 b", 2, (2, 1), ["b^-1 a^-1", "b"])]),
+    (4, None, 398, [("a b a b", 4, (3, 1, 4, 2), ["a", "b", "a", "b"]),
+                    ("b^-2 a b a^-1", 4, (1, 2, 4, 3),
+                     ["b^-1", "b^-1", "a", "b a^-1"]),
+                    ("b^2 a^-1 b^-1 a^3", 4, (2, 3, 4, 1),
+                     ["b", "b a^-1", "b^-1 a", "a^2"])]),
+    (4, 2, 41, [("b^-1 a^2", 2, (2, 1), ["b^-1", "a^2"]),
+                ("b^3 a^-1", 3, (1, 2, 3), ["b", "b", "b a^-1"])]),
+    (5, None, 358, [("e", 1, (1,), ["e"]),
+                    ("b^4 a b a b^-2", 5, (2, 4, 1, 3, 5),
+                     ["b", "b^2", "b a", "b a", "b^-2"])]),
+    (5, 2, 48, [("b a^2", 3, (1, 2, 3), ["b a", "b^-1", "b a"]),
+                ("b^2 a b a", 3, (2, 1, 3), ["b", "b a", "b a"])]),
+])
+def test_sym_set_certificates_pinned(horizon, length_cap, size, pins):
+    bs = [S(*t) for t in PINNED_SETS[horizon]]
+    members = sym_set(bs, horizon, length_cap=length_cap)
+    assert len(members) == size
+    for word, n, sigma, factors in pins:
+        assert members[W(word)] == SymYes(n, sigma,
+                                          tuple(W(f) for f in factors))
+
+
 # --- conjugation unions --------------------------------------------------------
 
 def test_v_phi_rank_one():
