@@ -2,7 +2,8 @@
 
 Verbs mirror the modules: field, matrix, rp, group, order, uniformity,
 plus the suite runner and report merger.  Structured inputs come as
-JSON from a file argument or stdin ("-"); --json switches the output to
+JSON: inline when the argument starts with "[" or "{", from stdin for
+"-", and from the named file otherwise; --json switches the output to
 machine-readable form.  Exit codes: 0 success, 1 failed checks, 2 usage
 or input errors.
 """
@@ -23,13 +24,18 @@ from .suites import UnknownSuiteError, run_suite
 
 
 def _read_payload(arg: str):
+    """'-' is stdin, an argument starting with '[' or '{' is inline
+    JSON, and anything else is the path of a JSON file."""
     if arg == "-":
         return json.loads(sys.stdin.read())
+    if arg.startswith(("[", "{")):
+        return json.loads(arg)
     try:
         with open(arg, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        return json.loads(arg)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read payload file {arg!r}: {exc.strerror}") from None
 
 
 def _emit(args, data, plain=None):

@@ -254,18 +254,26 @@ def _sym_walk(group, sets, horizon, lo=0, hi=None):
     permutation extending it.  At each complete initial segment {1..k}
     the walk yields (k, sigma, products): sigma is the 1-based index
     order and products maps every word reached to its first-found
-    factors.  The caller must not mutate products.
+    factors.  The caller must not mutate products.  Each set's words
+    are walked sorted by their letters as (generator index, exponent)
+    pairs, so the certificates do not depend on string hashing.
 
     With hi set, a partial product w is kept iff
     lo - r <= |w| <= hi + r, where r is the sum of the longest-word
     lengths of the still-unused sets: only such words can still end
-    with a length in [lo, hi].  With hi None no lengths are computed.
+    with a length in [lo, hi], so nothing is walked when lo exceeds the
+    sum over all sets.  With hi None no lengths are computed.
     """
     if hi is None:
         maxlens = [0] * horizon
     else:
         maxlens = [max((group.length(w) for w in s.words), default=0)
                    for s in sets[:horizon]]
+        if lo > sum(maxlens):
+            return
+    index = group._index
+    words = [sorted(s.words, key=lambda w: [(index[g], e) for g, e in w])
+             for s in sets[:horizon]]
 
     def rec(sigma, used, products, room):
         k = len(sigma)
@@ -280,7 +288,7 @@ def _sym_walk(group, sets, horizon, lo=0, hi=None):
             rest = room - maxlens[nxt]
             nprod = {}
             for w, fac in products.items():
-                for b in sets[nxt].words:
+                for b in words[nxt]:
                     nw = group.mul(w, b)
                     if nw in nprod or (hi is not None and not
                                        lo - rest <= group.length(nw) <= hi + rest):

@@ -190,8 +190,9 @@ def tukey_to_monotone(g, poset: FinitePoset, certificate=None) -> TukeyConversio
     tau = len(g)
     if tau == 0:
         raise ValueError("the chain must be non-empty")
+    elements = set(poset.elements)
     for x in g:
-        if x not in set(poset.elements):
+        if x not in elements:
             raise ValueError(f"g maps outside the poset: {x!r}")
     raw = {}
     for x in poset.elements:
@@ -199,8 +200,7 @@ def tukey_to_monotone(g, poset: FinitePoset, certificate=None) -> TukeyConversio
         raw[x] = 1 + max(etas) if etas else 0
     mapping = {x: min(v, tau - 1) for x, v in raw.items()}
     overflow = frozenset(x for x, v in raw.items() if v == tau)
-    chain = FinitePoset.chain(tau)
-    monotone = check_monotone(mapping, poset, chain)
+    monotone = all(mapping[x] <= mapping[y] for x, y in poset.pairs())
     witnesses = [mapping[x] for x in poset.elements if x not in overflow]
     cofinal = bool(witnesses) and max(witnesses) == tau - 1
     cert_ok = None
@@ -235,7 +235,7 @@ def search_unbounded_certificate(g, poset: FinitePoset):
 
 # --- truncated sequences ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FnSeq:
     """Finite value array plus an eventually-constant tail."""
 

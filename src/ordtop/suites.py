@@ -640,10 +640,10 @@ def suite_uniformity(report: SuiteReport, rng: random.Random, scale: float):
         if not isinstance(alpha, ol.FnSeq):
             report.record(f"cofinal#{i}", f"search failed: {alpha}")
             continue
-        avals = [alpha.get(n) for n in range(pieces)]
+        alpha_radii = [Fraction(1, 2 ** alpha.get(n)) for n in range(pieces)]
         for (x, y), dv in dvecs.items():
             member = x == y or any(
-                dv[n] < Fraction(1, 2 ** avals[n]) for n in range(pieces))
+                dv[n] < alpha_radii[n] for n in range(pieces))
             if member and not target.contains(x, y) and x != y:
                 report.record(f"audit#{i}", f"pair={(x, y)}")
                 break

@@ -6,19 +6,45 @@ metric fan.  Entourages built from a truncated index sequence inflate
 around the compact pieces of the non-isolated part, with the product
 space carrying the max metric so that every slack computation is a
 rational comparison.
+
+In the max metric the open r-ball around (k, k) is the square
+B(k, r) x B(k, r), so every entourage here is a union of squares
+(plus the diagonal for the reflexive ones) and is stored as rows: the
+row of a point is the bitmask of the squares that hold it, and (x, y)
+is a member iff the two rows share a bit.
 """
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .order_lab import FnSeq
 
 
-class MetricSpacePresentation:
-    """Finite point set, exact metric, and a compact decomposition."""
+def _level(d):
+    """The largest a >= 0 with d < 2^-a; -1 if d >= 1, inf if d <= 0."""
+    num, den = d.as_integer_ratio()
+    if num <= 0:
+        return float("inf")
+    if num >= den:
+        return -1
+    a = den.bit_length() - num.bit_length()
+    while num << a >= den:
+        a -= 1
+    return a
 
-    __slots__ = ("points", "_dist", "decomposition", "name")
+
+class MetricSpacePresentation:
+    """Finite point set, exact metric, and a compact decomposition.
+
+    The level table that `ball_row` reads is built for a point of the
+    space on its first use and kept (concurrent first uses build the
+    same table, so the cache needs no lock).
+    """
+
+    __slots__ = ("points", "_dist", "decomposition", "name", "_pieces",
+                 "_tables")
 
     def __init__(self, points, dist, decomposition, name="space",
                  validate=True, sample_cap=20000, seed=0):
@@ -26,12 +52,14 @@ class MetricSpacePresentation:
         self._dist = dist
         self.decomposition = tuple(frozenset(k) for k in decomposition)
         self.name = name
+        self._tables = dict.fromkeys(self.points)
         for part in self.decomposition:
             for p in part:
-                if p not in set(self.points):
+                if p not in self._tables:
                     raise ValueError(f"decomposition point {p!r} not in space")
         if validate:
             self._validate(sample_cap, seed)
+        self._pieces = tuple(tuple(part) for part in self.decomposition)
 
     def dist(self, x, y) -> Fraction:
         return self._dist(x, y)
@@ -66,6 +94,39 @@ class MetricSpacePresentation:
         if not part:
             raise ValueError(f"compact piece {n} is empty")
         return min(max(self.dist(x, k), self.dist(y, k)) for k in part)
+
+    def _level_table(self, p):
+        """Per piece K_n: (levels, rows, offset), levels ascending and
+        rows[i] the bits j of the k_j in K_n with _level(d(p, k_j)) >=
+        levels[i]; the last row is 0."""
+        table = []
+        offset = 0
+        for part in self._pieces:
+            by_level = {}
+            for j, k in enumerate(part):
+                a = _level(self.dist(p, k))
+                by_level[a] = by_level.get(a, 0) | 1 << j
+            levels = sorted(by_level)
+            rows = [0] * (len(levels) + 1)
+            for i in range(len(levels) - 1, -1, -1):
+                rows[i] = rows[i + 1] | by_level[levels[i]]
+            table.append((levels, rows, offset))
+            offset += len(part)
+        return tuple(table)
+
+    def ball_row(self, p, exponents) -> int:
+        """Bit offset_n + j is set iff d(p, k_j) < 2^-exponents[n], with
+        k_j the j-th point of K_n and offset_n the size of the earlier
+        pieces.  Points outside the space are not kept."""
+        table = self._tables.get(p)
+        if table is None:
+            table = self._level_table(p)
+            if p in self._tables:
+                self._tables[p] = table
+        row = 0
+        for (levels, rows, offset), a in zip(table, exponents):
+            row |= rows[bisect_left(levels, a)] << offset
+        return row
 
 
 def convergent_sequence(n_max: int, decomposition=None) -> MetricSpacePresentation:
@@ -121,15 +182,28 @@ def finite_table_space(points, table, decomposition) -> MetricSpacePresentation:
 # --- entourages -------------------------------------------------------------
 
 class Entourage:
-    """Reflexive symmetric relation with a finite description."""
+    """Symmetric relation given as a union of squares S x S.
 
-    def contains(self, x, y) -> bool:
+    `row(x)` is the bitmask of the squares that hold x, so (x, y) is a
+    member iff row(x) & row(y) != 0; a reflexive class also holds the
+    whole diagonal, points outside every square included.
+    """
+
+    __slots__ = ()
+    reflexive = True
+
+    def row(self, x) -> int:
         raise NotImplementedError
 
+    def contains(self, x, y) -> bool:
+        return self.row(x) & self.row(y) != 0 or (self.reflexive and x == y)
+
     def pairs(self, space: MetricSpacePresentation):
-        for x in space.points:
-            for y in space.points:
-                if self.contains(x, y):
+        rows = [(x, self.row(x)) for x in space.points]
+        diagonal = self.reflexive
+        for x, rx in rows:
+            for y, ry in rows:
+                if rx & ry or (diagonal and x == y):
                     yield (x, y)
 
     def check_axioms(self, space: MetricSpacePresentation) -> bool:
@@ -142,51 +216,35 @@ class Entourage:
         return True
 
 
-class ExplicitEntourage(Entourage):
-    __slots__ = ("pair_set",)
-
-    def __init__(self, pairs):
-        pair_set = set()
-        for x, y in pairs:
-            pair_set.add((x, y))
-            pair_set.add((y, x))
-            pair_set.add((x, x))
-            pair_set.add((y, y))
-        self.pair_set = frozenset(pair_set)
-
-    def contains(self, x, y) -> bool:
-        return x == y or (x, y) in self.pair_set
-
-
 def _alpha_values(space, alpha):
     count = len(space.decomposition)
     if isinstance(alpha, FnSeq):
-        return [alpha.get(n) for n in range(count)]
-    alpha = list(alpha)
-    if len(alpha) < count:
-        raise ValueError(
-            f"alpha has {len(alpha)} entries for {count} compact pieces "
-            f"and no tail; pass an FnSeq for tail semantics")
-    return alpha[:count]
+        values = [alpha.get(n) for n in range(count)]
+    else:
+        values = list(alpha)
+        if len(values) < count:
+            raise ValueError(
+                f"alpha has {len(values)} entries for {count} compact pieces "
+                f"and no tail; pass an FnSeq for tail semantics")
+        values = values[:count]
+    if any(not isinstance(a, int) or a < 0 for a in values):
+        raise ValueError("alpha entries must be natural numbers")
+    return values
 
 
 class UAlphaEntourage(Entourage):
     """Union over n of the open 2^-alpha(n) inflations of K~_n, plus
-    the diagonal."""
+    the diagonal: one square B(k, 2^-alpha(n))^2 per k in K_n."""
 
-    __slots__ = ("space", "alpha", "_radii")
+    __slots__ = ("space", "alpha", "_exponents")
 
     def __init__(self, space: MetricSpacePresentation, alpha):
         self.space = space
         self.alpha = alpha
-        self._radii = [Fraction(1, 2 ** a) for a in _alpha_values(space, alpha)]
+        self._exponents = _alpha_values(space, alpha)
 
-    def contains(self, x, y) -> bool:
-        if x == y:
-            return True
-        return any(
-            self.space.distance_to_diagonal_compact(x, y, n) < r
-            for n, r in enumerate(self._radii))
+    def row(self, x) -> int:
+        return self.space.ball_row(x, self._exponents)
 
 
 def u_alpha_member(space: MetricSpacePresentation, alpha, x, y) -> bool:
@@ -217,24 +275,38 @@ def base_monotone_check(space, alpha_pairs, point_pairs=None) -> bool:
 
 # --- open diagonal neighbourhoods and the cofinal search ---------------------
 
-class SpacedDiagonalNeighbourhood:
-    """Union of open max-metric balls around diagonal points."""
+class SpacedDiagonalNeighbourhood(Entourage):
+    """Union of open max-metric balls around diagonal points: one square
+    B(p, r)^2 per radius, without the diagonal.
 
-    __slots__ = ("space", "radii")
+    Each point's row is computed on first use and kept, so `radii` must
+    not change afterwards (concurrent first uses compute the same row).
+    """
+
+    __slots__ = ("space", "radii", "_rows")
+    reflexive = False
 
     def __init__(self, space: MetricSpacePresentation, radii):
         self.space = space
         self.radii = {p: Fraction(r) for p, r in radii.items()}
         if any(r <= 0 for r in self.radii.values()):
             raise ValueError("all radii must be strictly positive")
+        known = set(space.points)
         for p in self.radii:
-            if p not in set(space.points):
+            if p not in known:
                 raise ValueError(f"radius given for unknown point {p!r}")
+        self._rows = {}
 
-    def contains(self, x, y) -> bool:
-        return any(
-            max(self.space.dist(x, p), self.space.dist(y, p)) < r
-            for p, r in self.radii.items())
+    def row(self, x) -> int:
+        row = self._rows.get(x)
+        if row is None:
+            dist = self.space.dist
+            row = 0
+            for i, (p, r) in enumerate(self.radii.items()):
+                if dist(x, p) < r:
+                    row |= 1 << i
+            self._rows[x] = row
+        return row
 
 
 @dataclass(frozen=True)
@@ -332,15 +404,31 @@ def tail_base(space: MetricSpacePresentation):
 
 
 class UnionSquaresEntourage(Entourage):
-    """Union over points of i_x(f(x)) x i_x(f(x))."""
+    """Union over points of i_x(f(x)) x i_x(f(x)): one square per block."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "_rows")
+    reflexive = False
 
     def __init__(self, blocks):
         self.blocks = tuple(frozenset(b) for b in blocks)
+        rows = {}
+        for i, block in enumerate(self.blocks):
+            for x in block:
+                rows[x] = rows.get(x, 0) | 1 << i
+        self._rows = rows
 
-    def contains(self, x, y) -> bool:
-        return any(x in b and y in b for b in self.blocks)
+    def row(self, x) -> int:
+        return self._rows.get(x, 0)
+
+
+class ExplicitEntourage(UnionSquaresEntourage):
+    """The diagonal plus the square {x, y}^2 of every listed pair."""
+
+    __slots__ = ()
+    reflexive = True
+
+    def __init__(self, pairs):
+        super().__init__({x, y} for x, y in pairs)
 
 
 def countable_base(space: MetricSpacePresentation, point_bases,

@@ -162,6 +162,28 @@ def test_uniformity_verbs(capsys):
     assert code == 0 and out.strip() == "member"
 
 
+def test_payload_rule(capsys, tmp_path):
+    # inline JSON of any length; anything not starting with [ or { is a path
+    payload = json.dumps({
+        "space": {"kind": "convergent_sequence", "n_max": 30},
+        "radii": {f"1/{j}": "1/10" for j in range(1, 31)},
+        "default_radius": "1/10",
+    })
+    assert len(payload) > 255
+    code, out, _ = run(capsys, "uniformity", "cofinal-search", payload, "--json")
+    assert code == 0
+    assert json.loads(out) == {"alpha": {"values": [4], "tail": 4},
+                               "audit_violations": 0}
+    path = tmp_path / "payload.json"
+    path.write_text(payload)
+    assert run(capsys, "uniformity", "cofinal-search", str(path), "--json")[1] == out
+    for bad in (str(tmp_path / "missing.json"), str(tmp_path), "x" * 300):
+        code, out, err = run(capsys, "uniformity", "cofinal-search", bad)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read payload file")
+        assert err.count("\n") == 1
+
+
 def test_group_lemma_suite_alias(capsys):
     code, out, _ = run(capsys, "group", "lemma-suite",
                        "--seed", "3", "--scale", "0.02")

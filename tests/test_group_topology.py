@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,10 +173,7 @@ def test_far_target_pruned_at_first_level():
 
 
 # Certificates of the depth-first walk: the visiting order and the first
-# factorization found per word.  n and sigma never depend on the iteration
-# order of the sets' words, which follows string hashing; the factors can,
-# so only words whose factors came out the same under 31 hash seeds are
-# pinned.
+# factorization found per word.
 PINNED_SETS = {
     3: [["a", "b"], ["a", "a^-2", "b^-1 a^-1"], ["b", "e"]],
     4: [["a^2", "b", "b^-1"], ["b", "b^-1"], ["a", "b a^-1", "b^-1 a^-1"],
@@ -218,6 +220,46 @@ def test_sym_set_certificates_pinned(horizon, length_cap, size, pins):
     for word, n, sigma, factors in pins:
         assert members[W(word)] == SymYes(n, sigma,
                                           tuple(W(f) for f in factors))
+
+
+_HASH_PROBE = """
+import json
+from ordtop.group_topology import FreeGroup, SubsetSpec, sym_set
+F2 = FreeGroup(("a", "b"))
+bs = [SubsetSpec.from_texts(F2, t) for t in {sets!r}]
+print(json.dumps(sorted(
+    [F2.format(w), yes.n, list(yes.sigma), [F2.format(f) for f in yes.factors]]
+    for w, yes in sym_set(bs, {horizon}).items())))
+"""
+
+
+def test_sym_set_certificates_ignore_hash_seed():
+    # the factors come from walking each set's words in a fixed order, so
+    # two interpreters with different string hashing agree on every word
+    script = _HASH_PROBE.format(sets=PINNED_SETS[4], horizon=4)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert len(json.loads(outputs[0])) == 398
+    assert outputs[0] == outputs[1]
+
+
+def test_sym_set_walks_words_in_generator_index_order():
+    # z = x y = y (y^-1 x y): the certificate takes x, the word whose
+    # generator comes first, even with ids that do not compare
+    group = FreeGroup((1, "a"))
+    x, y = ((1, 1),), (("a", 1),)
+    z = group.mul(x, y)
+    bs = [SubsetSpec(group, [y, x]),
+          SubsetSpec(group, [y, group.mul(group.inv(y), z)])]
+    members = sym_set(bs, 2)
+    assert members[z] == SymYes(2, (1, 2), (x, y))
+    assert all(verify_certificate(group, w, bs, yes)
+               for w, yes in members.items())
 
 
 # --- conjugation unions --------------------------------------------------------

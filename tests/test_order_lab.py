@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -292,6 +293,21 @@ def test_fnseq_join_is_pointwise_max():
     for i in range(5):
         assert j.get(i) == max(a.get(i), b.get(i))
     assert a.le(j) and b.le(j)
+
+
+def test_fnseq_value_semantics():
+    a = FnSeq([1, 2.0, 3], 4)
+    assert a.values == (1, 2, 3) and all(type(v) is int for v in a.values)
+    with pytest.raises(ValueError):
+        FnSeq((1, -1), 0)
+    with pytest.raises(AttributeError):
+        a.tail = 5
+    assert not hasattr(a, "__dict__")
+    assert a == FnSeq((1, 2, 3), 4) and hash(a) == hash(FnSeq((1, 2, 3), 4))
+    assert a != FnSeq((1, 2, 3), 5)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        b = pickle.loads(pickle.dumps(a, protocol))
+        assert b == a and hash(b) == hash(a)
 
 
 # --- poset enumeration ---------------------------------------------------------------------

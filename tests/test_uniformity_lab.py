@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ from ordtop.order_lab import FnSeq
 from ordtop.uniformity_lab import (
     ExplicitEntourage,
     FailureUpTo,
+    MetricSpacePresentation,
     SpacedDiagonalNeighbourhood,
     UAlphaEntourage,
+    UnionSquaresEntourage,
     audit_entourage_containment,
     base_cofinal_search,
     base_monotone_check,
@@ -189,3 +192,67 @@ def test_countable_base_monotone_in_f():
         for y in space.points:
             if large.contains(x, y):
                 assert small.contains(x, y)
+
+
+# --- rows against the metric definition ----------------------------------------
+
+def _fan_two_pieces():
+    fan = metric_fan(3, 4)
+    return MetricSpacePresentation(
+        fan.points, fan.dist,
+        [frozenset({"c"}), frozenset({"c", (0, 1), (2, 3)})], name="fan")
+
+
+@pytest.mark.parametrize("space, outside", [
+    (convergent_sequence(12, decomposition=[
+        frozenset({F(0)}), frozenset({F(0), F(1, 2), F(1, 5)})]), F(1, 40)),
+    (_fan_two_pieces(), (1, 9)),
+])
+def test_rows_match_metric_definition(space, outside):
+    # (x, y) lies in the open r-inflation of K~ iff some k in K has
+    # max(d(x, k), d(y, k)) < r; the row AND must agree on every pair
+    def inflated(x, y, part, r):
+        return min(max(space.dist(x, k), space.dist(y, k)) for k in part) < r
+
+    points = list(space.points)
+    probe = points + [outside]
+    for alpha in itertools.product(range(5), repeat=2):
+        u = UAlphaEntourage(space, FnSeq(alpha, 4))
+
+        def member(x, y):
+            return x == y or any(
+                inflated(x, y, part, F(1, 2 ** a))
+                for part, a in zip(space.decomposition, alpha))
+
+        assert all(u.contains(x, y) == member(x, y)
+                   for x in probe for y in probe)
+        assert list(u.pairs(space)) == [
+            (x, y) for x in points for y in points if member(x, y)]
+    rng = random.Random(5)
+    for _ in range(5):
+        radii = {p: F(1, rng.randint(1, 12)) for p in points
+                 if rng.random() < 0.8}
+        target = SpacedDiagonalNeighbourhood(space, radii)
+
+        def near(x, y):
+            return any(inflated(x, y, [p], r) for p, r in radii.items())
+
+        assert all(target.contains(x, y) == near(x, y)
+                   for x in probe for y in probe)
+        assert list(target.pairs(space)) == [
+            (x, y) for x in points for y in points if near(x, y)]
+
+
+def test_union_squares_rows():
+    space = small_space()
+    blocks = [{F(1), F(1, 2)}, {F(1, 2), F(1, 3), F(1, 4)}]
+    u = UnionSquaresEntourage(blocks)
+    assert u.contains(F(1), F(1, 2)) and u.contains(F(1, 4), F(1, 2))
+    assert not u.contains(F(1), F(1, 3))
+    assert not u.contains(F(1, 5), F(1, 5))  # no diagonal outside the blocks
+    assert list(u.pairs(space)) == [
+        (x, y) for x in space.points for y in space.points
+        if any(x in b and y in b for b in blocks)]
+    e = ExplicitEntourage([(F(1), F(1, 2)), (F(1, 2), F(1, 3))])
+    assert e.contains(F(1, 3), F(1, 2)) and not e.contains(F(1), F(1, 3))
+    assert e.contains(F(1, 5), F(1, 5)) and e.contains("q", "q")
