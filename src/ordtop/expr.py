@@ -4,10 +4,16 @@ Accepts integers, named variables, the operators ``+ - * / ^`` with the
 usual precedence, and parentheses.  ``^`` binds tightest, requires an
 integer exponent, and is right-associative.  Produces a small tuple AST:
 ('num', n) | ('var', name) | ('neg', x) | ('add'|'sub'|'mul'|'div', l, r)
-| ('pow', base, exponent).
+| ('pow', base, exponent).  Nesting (parentheses and signs) and the
+depth of the AST are both capped at MAX_DEPTH, so the recursive parser
+and the recursive evaluators stay far below the interpreter's recursion
+limit; a deeper input raises ExprError.
 """
 
 import re
+
+MAX_DEPTH = 150
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -40,6 +46,16 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
+
+    def nested(self, parse):
+        """Run one sub-parse a nesting level deeper."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExprError(_TOO_DEEP)
+        node = parse()
+        self.nesting -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -75,10 +91,10 @@ class _Parser:
     def parse_unary(self):
         if self.peek() == ("op", "-"):
             self.take()
-            return ("neg", self.parse_unary())
+            return ("neg", self.nested(self.parse_unary))
         if self.peek() == ("op", "+"):
             self.take()
-            return self.parse_unary()
+            return self.nested(self.parse_unary)
         return self.parse_power()
 
     def parse_power(self):
@@ -95,7 +111,7 @@ class _Parser:
             neg = True
         tok = self.take()
         if tok == ("op", "("):
-            inner = self.parse_exponent()
+            inner = self.nested(self.parse_exponent)
             self.expect_op(")")
             return -inner if neg else inner
         kind, value = tok
@@ -111,7 +127,7 @@ class _Parser:
         if kind == "var":
             return ("var", value)
         if tok == ("op", "("):
-            inner = self.parse_sum()
+            inner = self.nested(self.parse_sum)
             self.expect_op(")")
             return inner
         raise ExprError(f"unexpected token {value!r}")
@@ -125,7 +141,20 @@ def parse(text: str):
     ast = parser.parse_sum()
     if parser.pos != len(tokens):
         raise ExprError(f"trailing input at token {parser.tokens[parser.pos]!r}")
+    if _depth(ast) > MAX_DEPTH:  # long flat sums and products nest to the left
+        raise ExprError(_TOO_DEEP)
     return ast
+
+
+def _depth(ast) -> int:
+    """Number of nodes on the longest root-to-leaf path, without recursion."""
+    best, stack = 0, [(ast, 1)]
+    while stack:
+        node, d = stack.pop()
+        best = max(best, d)
+        stack.extend((child, d + 1) for child in node[1:]
+                     if isinstance(child, tuple))
+    return best
 
 
 def variables(ast) -> set:

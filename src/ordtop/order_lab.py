@@ -15,61 +15,73 @@ from math import lcm
 
 
 class FinitePoset:
-    """Explicit finite partial order; validated on construction."""
+    """Explicit finite partial order, validated on construction: below[i]
+    is the bitmask of the positions j with elements[j] <= elements[i]."""
 
-    __slots__ = ("elements", "_le")
+    __slots__ = ("elements", "below", "index")
 
     def __init__(self, elements, le_pairs):
-        self.elements = tuple(elements)
-        index = set(self.elements)
-        if len(index) != len(self.elements):
+        els = self.elements = tuple(elements)
+        self.index = {x: i for i, x in enumerate(els)}
+        if len(self.index) != len(els):
             raise ValueError("poset elements must be distinct")
-        rel = {(a, b) for a, b in le_pairs}
-        for a, b in rel:
-            if a not in index or b not in index:
+        below = [0] * len(els)
+        for a, b in le_pairs:
+            if a not in self.index or b not in self.index:
                 raise ValueError(f"relation mentions unknown element {(a, b)}")
-        for x in self.elements:
-            if (x, x) not in rel:
+            below[self.index[b]] |= 1 << self.index[a]
+        for i, x in enumerate(els):
+            if not below[i] >> i & 1:
                 raise ValueError(f"relation is not reflexive at {x!r}")
-        for a, b in rel:
-            if a != b and (b, a) in rel:
-                raise ValueError(f"antisymmetry fails on {a!r}, {b!r}")
-        for a, b in rel:
-            for c in self.elements:
-                if (b, c) in rel and (a, c) not in rel:
+        for i, m in enumerate(below):
+            for j in range(i):
+                if m >> j & 1 and below[j] >> i & 1:
+                    raise ValueError(f"antisymmetry fails on {els[j]!r}, {els[i]!r}")
+        for c, m in enumerate(below):
+            for b in range(len(els)):
+                extra = below[b] & ~m if m >> b & 1 else 0
+                if extra:
+                    a = (extra & -extra).bit_length() - 1
                     raise ValueError(
-                        f"transitivity fails: {a!r} <= {b!r} <= {c!r}")
-        self._le = frozenset(rel)
+                        f"transitivity fails: {els[a]!r} <= {els[b]!r} <= {els[c]!r}")
+        self.below = tuple(below)
 
     @classmethod
     def chain(cls, n: int):
         return cls(range(n), {(i, j) for i in range(n) for j in range(i, n)})
 
     def le(self, a, b) -> bool:
-        return (a, b) in self._le
-
-    def pairs(self):
-        return self._le
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and self.below[j] >> i & 1 == 1
 
     def __len__(self):
         return len(self.elements)
 
 
-def check_monotone(f, d: FinitePoset, e: FinitePoset) -> bool:
-    """x <= y in D implies f(x) <= f(y) in E, exhaustively."""
+def _positions(f, d: FinitePoset, e: FinitePoset) -> list:
+    """Position in E of each f(x), x in D order; None outside E."""
     missing = [x for x in d.elements if x not in f]
     if missing:
         raise ValueError(f"map is partial; missing {missing[:3]}")
-    return all(e.le(f[x], f[y]) for x, y in d.pairs())
+    return [e.index.get(f[x]) for x in d.elements]
+
+
+def check_monotone(f, d: FinitePoset, e: FinitePoset) -> bool:
+    """x <= y in D implies f(x) <= f(y) in E, exhaustively."""
+    pos = _positions(f, d, e)  # D is reflexive: a value outside E fails
+    return None not in pos and all(e.below[q] >> p & 1
+                                   for y, q in enumerate(pos)
+                                   for x, p in enumerate(pos)
+                                   if d.below[y] >> x & 1)
 
 
 def check_cofinal(f, d: FinitePoset, e: FinitePoset) -> bool:
     """Every element of E lies below some f(x), exhaustively."""
-    missing = [x for x in d.elements if x not in f]
-    if missing:
-        raise ValueError(f"map is partial; missing {missing[:3]}")
-    image = [f[x] for x in d.elements]
-    return all(any(e.le(y, v) for v in image) for y in e.elements)
+    cover = 0
+    for p in _positions(f, d, e):
+        if p is not None:
+            cover |= e.below[p]
+    return cover == (1 << len(e)) - 1
 
 
 def semilattice_extend(v, s, universe=None) -> frozenset:
@@ -190,46 +202,57 @@ def tukey_to_monotone(g, poset: FinitePoset, certificate=None) -> TukeyConversio
     tau = len(g)
     if tau == 0:
         raise ValueError("the chain must be non-empty")
-    elements = set(poset.elements)
     for x in g:
-        if x not in elements:
+        if x not in poset.index:
             raise ValueError(f"g maps outside the poset: {x!r}")
-    raw = {}
-    for x in poset.elements:
-        etas = [eta for eta in range(tau) if poset.le(g[eta], x)]
-        raw[x] = 1 + max(etas) if etas else 0
-    mapping = {x: min(v, tau - 1) for x, v in raw.items()}
-    overflow = frozenset(x for x, v in raw.items() if v == tau)
-    monotone = all(mapping[x] <= mapping[y] for x, y in poset.pairs())
-    witnesses = [mapping[x] for x in poset.elements if x not in overflow]
-    cofinal = bool(witnesses) and max(witnesses) == tau - 1
+    top_down = [1 << poset.index[x] for x in reversed(g)]
+    mapping, overflow, top = {}, [], -1  # top: largest non-overflow value
+    at_most = [0] * tau  # at_most[v]: positions mapped to a value <= v
+    for i, (x, m) in enumerate(zip(poset.elements, poset.below)):
+        v = tau  # 1 + max{eta: g(eta) <= x}, counted down from the top
+        for bit in top_down:
+            if m & bit:
+                break
+            v -= 1
+        if v == tau:
+            overflow.append(x)
+            v -= 1
+        elif v > top:
+            top = v
+        mapping[x] = v
+        at_most[v] |= 1 << i
+    for v in range(1, tau):
+        at_most[v] |= at_most[v - 1]
+    monotone = not any(m & ~at_most[v]
+                       for m, v in zip(poset.below, mapping.values()))
+    overflow = frozenset(overflow)
+    cofinal = top == tau - 1
     cert_ok = None
     if certificate is not None:
         cert_ok = all(
             xi in certificate
             and certificate[xi] not in overflow
-            and certificate[xi] in raw
+            and certificate[xi] in mapping
             and mapping[certificate[xi]] >= xi
             for xi in range(1, tau))
-        if tau == 1:
-            cert_ok = bool(witnesses)
+        if tau == 1:  # no level to witness, but some point must not overflow
+            cert_ok = cofinal
     return TukeyConversion(mapping, overflow, tau, monotone, cofinal, cert_ok)
 
 
 def search_unbounded_certificate(g, poset: FinitePoset):
-    """A level-witness family proving the converted map cofinal, if any."""
+    """A level-witness family proving the converted map cofinal, if any.
+
+    Level xi is witnessed by the first non-overflow point, in element
+    order, whose value reaches xi.
+    """
     conv = tukey_to_monotone(g, poset)
-    tau = conv.tau
-    cert = {}
-    for xi in range(1, tau):
-        witness = next((x for x in poset.elements
-                        if x not in conv.overflow and conv.mapping[x] >= xi),
-                       None)
-        if witness is None:
-            return None
-        cert[xi] = witness
-    if tau == 1 and all(x in conv.overflow for x in poset.elements):
+    if not conv.is_cofinal:
         return None
+    cert = {}
+    for x, v in conv.mapping.items():
+        if x not in conv.overflow:
+            cert.update(dict.fromkeys(range(len(cert) + 1, v + 1), x))
     return cert
 
 
@@ -337,48 +360,25 @@ def poset_masks_up_to_iso(n: int):
     """All posets on n points, one per isomorphism class, as below-masks.
 
     below[x] is the bitmask of {y : y <= x}.  Every poset admits a
-    linear extension, so closing each antichain-respecting edge subset
-    of the upper triangle and deduplicating under relabeling is
-    exhaustive.
+    linear extension, so closing each edge subset of the upper triangle
+    (in one pass, as i < j) is exhaustive; each class is represented by
+    its lexicographically smallest relabeling.
     """
-    if n == 0:
-        return [()]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = [(i, j) for j in range(n) for i in range(j)]
     seen = set()
     for mask in range(1 << len(pairs)):
-        adj = [[False] * n for _ in range(n)]
-        for bit, (i, j) in enumerate(pairs):
+        below = [1 << x for x in range(n)]
+        for bit, (i, j) in enumerate(pairs):  # below[i] is closed already
             if mask >> bit & 1:
-                adj[i][j] = True
-        for k in range(n):
-            for i in range(n):
-                if adj[i][k]:
-                    row_k = adj[k]
-                    row_i = adj[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        below = tuple(
-            (1 << x) | sum(1 << y for y in range(n) if adj[y][x])
-            for x in range(n))
-        seen.add(below)
-    canon = set()
-    for below in seen:
-        best = None
-        for sigma in permutations(range(n)):
-            remapped = [0] * n
-            for x in range(n):
-                m = below[x]
-                nm = 0
-                for y in range(n):
-                    if m >> y & 1:
-                        nm |= 1 << sigma[y]
-                remapped[sigma[x]] = nm
-            key = tuple(remapped)
-            if best is None or key < best:
-                best = key
-        canon.add(best)
-    return sorted(canon)
+                below[j] |= below[i]
+        seen.add(tuple(below))
+    relabel = []  # per permutation: old mask -> new mask, new position -> old
+    for order in permutations(range(n)):
+        table = [sum(1 << order.index(x) for x in range(n) if m >> x & 1)
+                 for m in range(1 << n)]
+        relabel.append((table, order))
+    return sorted({min(tuple(table[below[x]] for x in order)
+                       for table, order in relabel) for below in seen})
 
 
 def poset_from_masks(below) -> FinitePoset:

@@ -1,8 +1,9 @@
 """Deterministic serialization of suite reports.
 
 The canonical JSON form excludes wall time so that identical seeds and
-scales reproduce identical bytes; timing stays available on the live
-objects and in the markdown summary's footnote column.
+scales reproduce identical bytes.  The markdown table carries no timing
+either; wall time stays on the live `SuiteReport.wall_ms`, which
+`ordtop suite` prints.
 """
 
 import json

@@ -675,7 +675,10 @@ def run_suite(name: str, seed: int = 0, scale: float = 1.0) -> SuiteReport:
     report = SuiteReport(suite=name, seed=seed, scale=scale)
     rng = random.Random(seed)
     started = time.perf_counter()
-    SUITES[name](report, rng, scale)
+    try:
+        SUITES[name](report, rng, scale)
+    except Exception as exc:  # a crash is a failure with a repro, not a traceback
+        report.record("crash", repr(exc))
     report.wall_ms = (time.perf_counter() - started) * 1000.0
     return report
 

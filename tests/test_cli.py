@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ordtop.cli import main
+from ordtop.expr import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -29,6 +30,26 @@ def test_field_errors(capsys):
     assert code == 2 and "unknown variable" in err
     code, _, err = run(capsys, "field", "invert", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "eval", "(" * 5000 + "1" + ")" * 5000],
+    ["field", "eval", "+".join(["1"] * 3000)],
+    ["rp", "compare",
+     json.dumps({"prefix": ["0"], "tail": "(" * 5000 + "n" + ")" * 5000}),
+     json.dumps({"prefix": ["0"], "tail": "1/n"})],
+])
+def test_expression_depth_is_bounded(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: expression nested deeper than {MAX_DEPTH} levels\n"
+
+
+def test_expression_at_depth_cap_parses(capsys):
+    nested = "(" * MAX_DEPTH + "a0" + ")" * MAX_DEPTH
+    assert run(capsys, "field", "eval", nested) == (0, "a0\n", "")
+    flat = "+".join(["1"] * MAX_DEPTH)  # MAX_DEPTH - 1 'add' nodes over a leaf
+    assert run(capsys, "field", "eval", flat) == (0, f"{MAX_DEPTH}\n", "")
 
 
 def test_matrix_verbs(capsys, tmp_path):
@@ -120,6 +141,15 @@ def test_order_verbs(capsys):
     })
     code, out, _ = run(capsys, "order", "check-map", payload)
     assert code == 0 and "monotone=True cofinal=True" in out
+    # a map value outside the codomain is below nothing: not monotone, but
+    # the other value still covers the codomain
+    payload = json.dumps({
+        "domain": {"elements": ["x", "y"], "le": [["x", "x"], ["y", "y"]]},
+        "codomain": {"elements": ["x"], "le": [["x", "x"]]},
+        "map": {"x": "x", "y": "w"},
+    })
+    code, out, _ = run(capsys, "order", "check-map", payload)
+    assert code == 0 and out == "monotone=False cofinal=True\n"
     payload = json.dumps({
         "branches": [{"preperiod": "", "period": "0"},
                      {"preperiod": "", "period": "1"}],

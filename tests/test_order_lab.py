@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 from fractions import Fraction
@@ -30,14 +31,22 @@ from ordtop.order_lab import (
 # --- posets and map checks -------------------------------------------------
 
 def test_poset_validation():
-    FinitePoset("ab", {("a", "a"), ("b", "b"), ("a", "b")})
-    with pytest.raises(ValueError):
+    p = FinitePoset("ab", {("a", "a"), ("b", "b"), ("a", "b")})
+    assert p.below == (0b01, 0b11)
+    assert p.le("a", "b") and not p.le("b", "a") and p.le("b", "b")
+    assert not p.le("a", "z") and not p.le("z", "z")  # outside the poset
+    with pytest.raises(ValueError, match="not reflexive at 'b'"):
         FinitePoset("ab", {("a", "a")})  # not reflexive
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="antisymmetry fails on 'a', 'b'"):
         FinitePoset("ab", {("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="transitivity fails: 'a' <= 'b' <= 'c'"):
         FinitePoset("abc", {("a", "a"), ("b", "b"), ("c", "c"),
                             ("a", "b"), ("b", "c")})  # not transitive
+    with pytest.raises(ValueError, match=r"unknown element \('a', 'z'\)"):
+        FinitePoset("ab", {("a", "a"), ("b", "b"), ("a", "z")})
+    with pytest.raises(ValueError, match="must be distinct"):
+        FinitePoset("aa", {("a", "a")})
 
 
 def test_identity_map_monotone_cofinal():
@@ -210,10 +219,10 @@ def test_constant_conversion_not_cofinal():
 
 
 def test_certificate_matches_cofinality_exhaustive_small():
-    for masks in poset_masks_up_to_iso(3):
+    for masks in (m for n in range(1, 5) for m in poset_masks_up_to_iso(n)):
         poset = poset_from_masks(masks)
         n = len(poset.elements)
-        for tau in (1, 2, 3):
+        for tau in (1, 2, 3, 4):
             for g_code in range(n ** tau):
                 g = []
                 code = g_code
@@ -312,13 +321,33 @@ def test_fnseq_value_semantics():
 
 # --- poset enumeration ---------------------------------------------------------------------
 
+# Each class is its lexicographically smallest relabeling; callers pick
+# classes by index, so the lists themselves are pinned.
+POSETS_4 = [
+    (1, 2, 4, 8), (1, 2, 4, 9), (1, 2, 4, 11), (1, 2, 4, 15), (1, 2, 5, 9),
+    (1, 2, 5, 10), (1, 2, 5, 11), (1, 2, 5, 13), (1, 2, 5, 15), (1, 2, 7, 11),
+    (1, 2, 7, 15), (1, 3, 5, 9), (1, 3, 5, 11), (1, 3, 5, 15), (1, 3, 7, 11),
+    (1, 3, 7, 15),
+]
+POSETS_5_SHA256 = \
+    "3acf35ec62ff4c549017682f3ffbc477872c1835f1ea1b26214c3762fd3756cc"
+
+
 def test_poset_counts_up_to_iso():
+    assert poset_masks_up_to_iso(0) == [()]
     assert len(poset_masks_up_to_iso(1)) == 1
     assert len(poset_masks_up_to_iso(2)) == 2
     assert len(poset_masks_up_to_iso(3)) == 5
     assert len(poset_masks_up_to_iso(4)) == 16
+    assert len(poset_masks_up_to_iso(5)) == 63  # OEIS A000112
+    assert poset_masks_up_to_iso(4) == POSETS_4
+    digest = hashlib.sha256(repr(poset_masks_up_to_iso(5)).encode()).hexdigest()
+    assert digest == POSETS_5_SHA256
 
 
 def test_masks_build_valid_posets():
-    for masks in poset_masks_up_to_iso(3):
-        poset_from_masks(masks)  # construction validates the axioms
+    for n in range(6):
+        for masks in poset_masks_up_to_iso(n):
+            poset = poset_from_masks(masks)  # construction validates the axioms
+            assert poset.below == masks
+            assert poset.elements == tuple(range(n))

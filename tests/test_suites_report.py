@@ -63,3 +63,20 @@ def test_failures_carry_repro_commands():
     fake.record("case-x", "detail-y")
     assert fake.failures[0]["repro"] == "ordtop suite demo --seed 7 --scale 0.5"
     assert not fake.ok
+
+
+def test_suite_crash_is_recorded(monkeypatch):
+    def crashing(report, rng, scale):
+        report.cases += 2
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(SUITES, "order", crashing)
+    report = run_suite("order", seed=4, scale=0.5)
+    assert not report.ok and report.cases == 2
+    assert report.failures == [{
+        "case": "crash",
+        "detail": "RuntimeError('boom')",
+        "repro": "ordtop suite order --seed 4 --scale 0.5",
+    }]
+    assert "repro: `ordtop suite order --seed 4 --scale 0.5`" in \
+        markdown_table(report)
