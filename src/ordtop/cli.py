@@ -196,11 +196,14 @@ def cmd_group(args):
 
 # --- order -----------------------------------------------------------------------
 
+def _element_from(x):
+    """JSON arrays become tuples, so that elements can be hashed."""
+    return tuple(x) if isinstance(x, list) else x
+
+
 def _poset_from(data) -> ol.FinitePoset:
-    elements = [tuple(e) if isinstance(e, list) else e
-                for e in data["elements"]]
-    le = {(tuple(a) if isinstance(a, list) else a,
-           tuple(b) if isinstance(b, list) else b) for a, b in data["le"]}
+    elements = [_element_from(e) for e in data["elements"]]
+    le = {(_element_from(a), _element_from(b)) for a, b in data["le"]}
     return ol.FinitePoset(elements, le)
 
 
@@ -209,7 +212,7 @@ def cmd_order(args):
     if args.action == "check-map":
         d = _poset_from(payload["domain"])
         e = _poset_from(payload["codomain"])
-        f = {k: v for k, v in payload["map"].items()}
+        f = {k: _element_from(v) for k, v in payload["map"].items()}
         mono = ol.check_monotone(f, d, e)
         cof = ol.check_cofinal(f, d, e)
         _emit(args, {"monotone": mono, "cofinal": cof},

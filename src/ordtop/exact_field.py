@@ -10,6 +10,7 @@ coefficient is one.  No floating point is involved anywhere.
 
 from fractions import Fraction
 from functools import total_ordering
+from math import lcm
 
 from . import expr
 from . import polynomials as P
@@ -18,6 +19,12 @@ LT, EQ, GT = "LT", "EQ", "GT"
 
 MAX_HEIGHT = 8
 DEFAULT_MAX_DEGREE = 32
+
+# Cap on the coefficient size of a power, in bits of each numerator
+# and denominator: 14000 bits are at most 4215 decimal digits, so every
+# power that passes still formats under Python's default 4300-digit
+# limit on int-to-str conversion.
+MAX_POWER_BITS = 14000
 
 _VAR_NAMES = tuple(f"a{j}" for j in range(MAX_HEIGHT))
 
@@ -53,6 +60,14 @@ def _check_limits(num: P.Poly, den: P.Poly, height: int) -> None:
         raise TowerLimitError(f"degree {d} exceeds the cap {_limits['degree']}")
 
 
+_FRACTION = frozenset({Fraction})
+
+
+def _all_fractions(num: P.Poly, den: P.Poly) -> bool:
+    return (_FRACTION.issuperset(map(type, num.values()))
+            and _FRACTION.issuperset(map(type, den.values())))
+
+
 @total_ordering
 class FieldElement:
     """A canonical fraction of polynomials in the infinitesimal tower."""
@@ -70,10 +85,17 @@ class FieldElement:
                 if not P._is_const(g):
                     num = P.p_divexact(num, g)
                     den = P.p_divexact(den, g)
+            # Coefficients are stored as Fractions whatever type they
+            # arrive as (int ones come from the matrix layer's Z[a]);
+            # Fraction(v, c) also keeps int / int from making a float.
             c = P.dominant_coeff(den)
-            if c != 1:
-                num = {e: v / c for e, v in num.items()}
-                den = {e: v / c for e, v in den.items()}
+            if c != 1 or not _all_fractions(num, den):
+                if type(c) is int:
+                    num = {e: Fraction(v, c) for e, v in num.items()}
+                    den = {e: Fraction(v, c) for e, v in den.items()}
+                else:
+                    num = {e: v / c for e, v in num.items()}
+                    den = {e: v / c for e, v in den.items()}
             w = max(P.used_width(num, height), P.used_width(den, height))
             if w < height:
                 num, den, height = P.shrink(num, w), P.shrink(den, w), w
@@ -174,6 +196,10 @@ class FieldElement:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.invert() ** (-n)
+        bits = n * _power_bits(self)
+        if bits > MAX_POWER_BITS:
+            raise TowerLimitError(
+                f"power coefficients of up to {bits} bits exceed the cap {MAX_POWER_BITS}")
         out = FieldElement.from_rational(1)
         base = self
         while n:
@@ -244,6 +270,23 @@ class FieldElement:
 
     def __str__(self):
         return format_element(self)
+
+
+def _power_bits(a: FieldElement) -> int:
+    """b such that every coefficient of a ** n has numerator and
+    denominator at most 2 ** (n * b).
+
+    a ** n is num ** n / den ** n, already canonical (den's dominant
+    coefficient stays 1).  With q the lcm of a polynomial's coefficient
+    denominators and s = q * (sum of |coefficients|), each coefficient
+    of its n-th power is k / q ** n with |k| <= s ** n.
+    """
+    bits = 0
+    for p in (a.num, a.den):
+        q = lcm(*(c.denominator for c in p.values()))
+        s = sum(abs(c.numerator) * (q // c.denominator) for c in p.values())
+        bits = max(bits, (s - 1).bit_length(), (q - 1).bit_length())
+    return bits
 
 
 def compare(a: FieldElement, b: FieldElement) -> str:

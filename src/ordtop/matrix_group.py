@@ -1,14 +1,18 @@
 """Exact linear algebra over the tower field and the ordered ball base
 at the identity of the general linear group.
 
-Inversion clears row denominators and runs one-step fraction-free
-elimination on the resulting polynomial matrix, so every intermediate
-division is exact and degree growth stays under control.  Balls around
-the identity use the entrywise maximum deviation, which makes the family
+Inversion and determinants scale each row of the matrix into Z[a], the
+polynomials with integer coefficients, and run one-step fraction-free
+(Bareiss) elimination there: every division is exact in Z[a], so no
+rational arithmetic runs until the end.  The inverse comes out of a
+fraction-free back substitution as D * A^-1 with D the last pivot, and
+each entry becomes one canonical field element.  Balls around the
+identity use the entrywise maximum deviation, which makes the family
 {B_eps} linearly ordered by inclusion.
 """
 
 import json
+from math import lcm
 
 from . import polynomials as P
 from .exact_field import (
@@ -68,10 +72,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _cleared_rows(a: Matrix):
-    """Scale each row by its denominator product; entries become polys.
+    """Scale each row into Z[a]; returns the rows and their multipliers.
 
-    Row scaling of the augmented system [A | I] leaves the solution of
-    A X = I untouched, so the inverse can be read off afterwards.
+    Row i is multiplied by the product of its entries' denominators and
+    then by the lcm of every coefficient denominator left in the row and
+    in that product, so both the entries and the multiplier m_i have
+    integer coefficients.  Row scaling of the augmented system
+    [A | diag(m)] leaves the solution of A X = I untouched.
     """
     h = a.height
     n = a.n
@@ -90,21 +97,24 @@ def _cleared_rows(a: Matrix):
                 if k != j:
                     q = P.p_mul(q, dens[k])
             row.append(q)
-        poly_rows.append(row)
-        multipliers.append(m)
+        scale = lcm(*(c.denominator for p in (*row, m) for c in p.values()))
+        poly_rows.append([P.to_integer(q, scale) for q in row])
+        multipliers.append(P.to_integer(m, scale))
     return poly_rows, multipliers, h
 
 
-def _bareiss_forward(left, right, h):
-    """One-step fraction-free elimination, in place.
+def _bareiss_forward(left, right):
+    """One-step fraction-free elimination in Z[a], in place.
 
     Returns the sign of the row permutation, or 0 when the matrix is
     singular.  Row k keeps its pivot in left[k][k]; the last pivot is
-    the determinant of the cleared rows.
+    the determinant of the cleared rows.  By Sylvester's identity each
+    new entry is a minor of the input, so the division by the previous
+    pivot (1 before the first) is exact.
     """
     n = len(left)
     width = len(right[0])
-    prev = P.const(1, h)
+    prev = None
     sign = 1
     for k in range(n):
         pivot_row = next((r for r in range(k, n) if left[r][k]), None)
@@ -117,12 +127,11 @@ def _bareiss_forward(left, right, h):
         piv = left[k][k]
         for i in range(k + 1, n):
             head = left[i][k]
-            for j in range(k + 1, n):
-                num = P.p_sub(P.p_mul(piv, left[i][j]), P.p_mul(head, left[k][j]))
-                left[i][j] = P.p_divexact(num, prev) if num else {}
-            for j in range(width):
-                num = P.p_sub(P.p_mul(piv, right[i][j]), P.p_mul(head, right[k][j]))
-                right[i][j] = P.p_divexact(num, prev) if num else {}
+            for row, top, cols in ((left[i], left[k], range(k + 1, n)),
+                                   (right[i], right[k], range(width))):
+                for j in cols:
+                    num = P.p_sub(P.p_mul(piv, row[j]), P.p_mul(head, top[j]))
+                    row[j] = P.p_divexact(num, prev) if num and prev is not None else num
             left[i][k] = {}
         prev = piv
     return sign
@@ -131,39 +140,45 @@ def _bareiss_forward(left, right, h):
 def det(a: Matrix) -> FieldElement:
     """Exact determinant via the fraction-free elimination."""
     left, multipliers, h = _cleared_rows(a)
-    sign = _bareiss_forward(left, [[] for _ in range(a.n)], h)
+    sign = _bareiss_forward(left, [[] for _ in range(a.n)])
     if not sign:
         return FieldElement.from_rational(0)
-    m = P.const(1, h)
-    for mult in multipliers:
+    m = multipliers[0]
+    for mult in multipliers[1:]:
         m = P.p_mul(m, mult)
-    value = FieldElement(left[-1][-1], m, h)
-    return -value if sign < 0 else value
+    d = left[-1][-1] if sign > 0 else P.p_neg(left[-1][-1])
+    return FieldElement(d, m, h)
 
 
 def mat_inv(a: Matrix) -> Matrix:
+    """Exact inverse; raises SingularMatrixError on a singular matrix.
+
+    After the forward elimination U X = R holds with U upper triangular
+    and X = A^-1.  The back substitution computes D * X instead, with D
+    = U[n-1][n-1] = +-det(L) for the cleared matrix L = diag(m) A:
+    D * A^-1 = +-adj(L) diag(m) has its entries in Z[a], so each
+    division by a pivot U[i][i] is exact.  The last row of D * X is R's
+    last row.
+    """
     left, multipliers, h = _cleared_rows(a)
     n = a.n
     right = [[multipliers[i] if i == j else {} for j in range(n)]
              for i in range(n)]
-    if not _bareiss_forward(left, right, h):
+    if not _bareiss_forward(left, right):
         raise SingularMatrixError("matrix is singular over the tower field")
-    # Back substitution over the field; divisions by pivots are exact
-    # fractions of polynomials.
-    inv_rows: list = [None] * n
-    for i in range(n - 1, -1, -1):
-        d = FieldElement(left[i][i], P.const(1, h), h)
+    d = left[-1][-1]
+    x = [None] * n
+    x[-1] = right[-1]
+    for i in range(n - 2, -1, -1):
         row = []
         for j in range(n):
-            acc = FieldElement(right[i][j], P.const(1, h), h) if right[i][j] \
-                else FieldElement.from_rational(0)
+            acc = P.p_mul(d, right[i][j])
             for l in range(i + 1, n):
-                if left[i][l]:
-                    coeff = FieldElement(left[i][l], P.const(1, h), h)
-                    acc = acc - coeff * inv_rows[l][j]
-            row.append(acc / d)
-        inv_rows[i] = row
-    return Matrix(inv_rows)
+                if left[i][l] and x[l][j]:
+                    acc = P.p_sub(acc, P.p_mul(left[i][l], x[l][j]))
+            row.append(P.p_divexact(acc, left[i][i]) if acc else {})
+        x[i] = row
+    return Matrix([[FieldElement(v, d, h) for v in row] for row in x])
 
 
 def ball_member(a: Matrix, eps: FieldElement) -> bool:

@@ -1,17 +1,21 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial is a dict mapping fixed-width exponent tuples to nonzero
-Fractions.  The dominance order scans variables from the innermost
+Fractions, or to nonzero ints for polynomials in Z[a]: addition,
+subtraction, multiplication and exact division keep int coefficients
+ints.  The dominance order scans variables from the innermost
 (highest index) downward; a lower power of a more deeply nested variable
 dominates.  The dominant monomial of a nonzero polynomial is therefore
 the one whose reversed exponent tuple is lexicographically smallest.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add, neg, sub
 
 Term = tuple[int, ...]
-Poly = dict[Term, Fraction]
+Poly = dict[Term, Fraction | int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,7 +68,7 @@ def shrink(p: Poly, width: int) -> Poly:
 def p_add(p: Poly, q: Poly) -> Poly:
     r = dict(p)
     for e, c in q.items():
-        s = r.get(e, ZERO) + c
+        s = r.get(e, 0) + c
         if s:
             r[e] = s
         elif e in r:
@@ -79,7 +83,7 @@ def p_neg(p: Poly) -> Poly:
 def p_sub(p: Poly, q: Poly) -> Poly:
     r = dict(p)
     for e, c in q.items():
-        s = r.get(e, ZERO) - c
+        s = r.get(e, 0) - c
         if s:
             r[e] = s
         elif e in r:
@@ -102,8 +106,8 @@ def p_mul(p: Poly, q: Poly) -> Poly:
     r: Poly = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = r.get(e, ZERO) + c1 * c2
+            e = tuple(map(add, e1, e2))
+            s = r.get(e, 0) + c1 * c2
             if s:
                 r[e] = s
             elif e in r:
@@ -157,37 +161,64 @@ def sign_of(p: Poly) -> int:
     return 1 if c > 0 else -1
 
 
-def lex_lead(p: Poly) -> Term:
-    # Opposite end of the dominance order; a monomial well-order, used
-    # for division.
-    return max(p, key=dominance_key)
+def _flip(e: Term) -> Term:
+    # Negated and reversed: the largest exponent under the reversed-lex
+    # monomial order becomes the smallest flipped tuple.
+    return tuple(map(neg, e[::-1]))
 
 
 def p_divexact(p: Poly, d: Poly) -> Poly:
-    """Exact division; raises if d does not divide p."""
+    """Exact division p / d; raises ValueError if d does not divide p.
+
+    Division runs on leading monomials under the reversed-lex order (the
+    opposite end of the dominance order, a monomial well-order).  Each
+    step removes the remainder's leading monomial and only adds smaller
+    ones, so the leads come off a heap of flipped exponents instead of a
+    rescan of the remainder; a stale heap entry is one whose monomial
+    has already cancelled.  Int coefficients divide exactly in Z (a
+    nonzero remainder raises), any other coefficient divides as a
+    Fraction.
+    """
     if not d:
         raise ZeroDivisionError("polynomial division by zero")
     if not p:
         return {}
-    lead = lex_lead(d)
-    lc = d[lead]
+    terms = [(_flip(e), c) for e, c in d.items()]
+    lead, lc = min(terms)
+    terms.remove((lead, lc))
+    int_lc = type(lc) is int
+    rem = {_flip(e): c for e, c in p.items()}
+    heap = list(rem)
+    heapify(heap)
     q: Poly = {}
-    rem = dict(p)
-    while rem:
-        e = lex_lead(rem)
-        t = tuple(a - b for a, b in zip(e, lead))
-        if any(x < 0 for x in t):
+    while heap:
+        e = heappop(heap)
+        c = rem.pop(e, None)
+        if c is None:
+            continue
+        t = tuple(map(sub, e, lead))
+        if t and max(t) > 0:
             raise ValueError("not exactly divisible")
-        c = rem[e] / lc
+        if int_lc and type(c) is int:
+            c, r = divmod(c, lc)
+            if r:
+                raise ValueError("not exactly divisible")
+        else:
+            c = c / lc
         q[t] = c
-        for de, dc in d.items():
-            ee = tuple(a + b for a, b in zip(t, de))
-            s = rem.get(ee, ZERO) - c * dc
-            if s:
-                rem[ee] = s
-            elif ee in rem:
-                del rem[ee]
-    return q
+        for de, dc in terms:
+            ee = tuple(map(add, t, de))
+            s = rem.get(ee)
+            if s is None:
+                rem[ee] = -c * dc
+                heappush(heap, ee)
+            else:
+                s -= c * dc
+                if s:
+                    rem[ee] = s
+                else:
+                    del rem[ee]
+    return {_flip(t): c for t, c in q.items()}
 
 
 def rat_content(p: Poly) -> Fraction:
@@ -268,13 +299,12 @@ def _is_const(p: Poly) -> bool:
 
 
 def p_gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive gcd, dominant coefficient positive; {} only if both zero."""
+    """Primitive gcd in Z[a]: int coefficients with no common factor,
+    dominant coefficient positive; {} only if both are zero."""
     if not p:
-        return primitive(q)[0]
-    if not q:
-        return primitive(p)[0]
-    if p == q:
-        return primitive(p)[0]
+        return _int_primitive(q)
+    if not q or p == q:
+        return _int_primitive(p)
     width = len(next(iter(p)))
     # Factor out per-variable minimal exponents first.
     mp = [min(e[j] for e in p) for j in range(width)]
@@ -284,25 +314,28 @@ def p_gcd(p: Poly, q: Poly) -> Poly:
     b = {tuple(x - y for x, y in zip(e, mq)): c for e, c in q.items()}
     if len(a) == 1 or len(b) == 1:
         # After stripping monomial factors a single term is a unit here.
-        core = const(1, width)
+        core = {(0,) * width: 1}
     else:
-        ia = _to_int(primitive(a)[0])
-        ib = _to_int(primitive(b)[0])
-        icore = _heugcd(ia, ib, width)
-        if icore is not None:
-            core = {e: Fraction(c) for e, c in icore.items()}
-        else:
-            core = _gcd_pp(primitive(a)[0], primitive(b)[0], width)
+        core = _heugcd(_int_primitive(a), _int_primitive(b), width)
+        if core is None:
+            core = _int_primitive(_gcd_pp(primitive(a)[0], primitive(b)[0], width))
     if any(common):
-        core = p_mul(core, {common: ONE})
+        core = p_mul(core, {common: 1})
     return core
 
 
 IPoly = dict  # exponent tuple -> int; gcd internals run on plain ints
 
 
-def _to_int(p: Poly) -> IPoly:
-    return {e: int(c) for e, c in p.items()}
+def to_integer(p: Poly, scale: int) -> IPoly:
+    """p * scale with int coefficients; scale must be a multiple of
+    every coefficient's denominator."""
+    return {e: c.numerator * (scale // c.denominator) for e, c in p.items()}
+
+
+def _int_primitive(p: Poly) -> IPoly:
+    """primitive(p)[0] with int coefficients, computed without Fractions."""
+    return _iprimitive(to_integer(p, lcm(*(c.denominator for c in p.values()))))[0]
 
 
 def _iprimitive(p: IPoly) -> tuple[IPoly, int]:
@@ -321,26 +354,12 @@ def _iprimitive(p: IPoly) -> tuple[IPoly, int]:
 
 
 def _idivides(p: IPoly, d: IPoly) -> bool:
-    """Exact divisibility test over the integers, aborting early."""
-    lead = max(d, key=dominance_key)
-    lc = d[lead]
-    rem = dict(p)
-    while rem:
-        e = max(rem, key=dominance_key)
-        c = rem[e]
-        if c % lc:
-            return False
-        t = tuple(a - b for a, b in zip(e, lead))
-        if any(x < 0 for x in t):
-            return False
-        c //= lc
-        for de, dc in d.items():
-            ee = tuple(a + b for a, b in zip(t, de))
-            s = rem.get(ee, 0) - c * dc
-            if s:
-                rem[ee] = s
-            elif ee in rem:
-                del rem[ee]
+    """Exact divisibility over the integers, stopping at the first
+    inexact step."""
+    try:
+        p_divexact(p, d)
+    except ValueError:
+        return False
     return True
 
 

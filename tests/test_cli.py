@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from ordtop.cli import main
+from ordtop.exact_field import MAX_POWER_BITS
 from ordtop.expr import MAX_DEPTH
 
 
@@ -50,6 +52,24 @@ def test_expression_at_depth_cap_parses(capsys):
     assert run(capsys, "field", "eval", nested) == (0, "a0\n", "")
     flat = "+".join(["1"] * MAX_DEPTH)  # MAX_DEPTH - 1 'add' nodes over a leaf
     assert run(capsys, "field", "eval", flat) == (0, f"{MAX_DEPTH}\n", "")
+
+
+@pytest.mark.parametrize("text", ["2^1000000000000", "2^3000000",
+                                  "((2^1000)^1000)^1000"])
+def test_powers_are_bounded(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "field", "eval", text)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: power coefficients") and err.count("\n") == 1
+
+
+def test_power_at_coefficient_cap_formats(capsys):
+    # 2^n is refused past n = MAX_POWER_BITS; at the cap it has 4215 digits
+    text = f"2^{MAX_POWER_BITS}"
+    assert run(capsys, "field", "eval", text) == (0, f"{2 ** MAX_POWER_BITS}\n", "")
+    code, _, err = run(capsys, "field", "eval", f"2^{MAX_POWER_BITS + 1}")
+    assert code == 2 and "exceed the cap" in err
 
 
 def test_matrix_verbs(capsys, tmp_path):
@@ -150,6 +170,14 @@ def test_order_verbs(capsys):
     })
     code, out, _ = run(capsys, "order", "check-map", payload)
     assert code == 0 and out == "monotone=False cofinal=True\n"
+    # list-valued elements arrive as JSON arrays, in the posets and the map
+    payload = json.dumps({
+        "domain": {"elements": ["x"], "le": [["x", "x"]]},
+        "codomain": {"elements": [[0, 1]], "le": [[[0, 1], [0, 1]]]},
+        "map": {"x": [0, 1]},
+    })
+    assert run(capsys, "order", "check-map", payload) == \
+        (0, "monotone=True cofinal=True\n", "")
     payload = json.dumps({
         "branches": [{"preperiod": "", "period": "0"},
                      {"preperiod": "", "period": "1"}],

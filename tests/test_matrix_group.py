@@ -92,10 +92,106 @@ def test_random_inverses_match_oracle():
 
 
 def test_singular_raises():
-    m = Matrix([[ONE, ONE], [ONE, ONE]])
-    with pytest.raises(SingularMatrixError):
-        mat_inv(m)
-    assert det(m).is_zero()
+    rng = random.Random(17)
+    singular = [Matrix([[ONE, ONE], [ONE, ONE]])]
+    for n in (3, 4):
+        rows = [[rand_element(rng, 2) for _ in range(n)] for _ in range(n)]
+        c = rand_element(rng, 2)
+        rows[-1] = [c * x + y for x, y in zip(rows[0], rows[1])]
+        singular.append(Matrix(rows))
+    singular.append(Matrix([[ZERO, A0, ONE], [ZERO, ONE, A0], [ZERO, A0, A0]]))
+    for m in singular:
+        with pytest.raises(SingularMatrixError):
+            mat_inv(m)
+        assert det(m) == ZERO
+
+
+# --- a rational oracle: evaluation at points and Gauss-Jordan ------------
+
+def _eval_poly(p, point):
+    total = Fraction(0)
+    for e, c in p.items():
+        term = Fraction(c)
+        for x, k in zip(point, e):
+            term *= x ** k
+        total += term
+    return total
+
+
+def _eval_matrix(m, point):
+    return [[_eval_poly(x.num, point) / _eval_poly(x.den, point) for x in row]
+            for row in m.rows]
+
+
+def _gauss_jordan_inverse(rows):
+    n = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
+           for i, r in enumerate(rows)]
+    for k in range(n):
+        p = next(r for r in range(k, n) if aug[r][k])
+        aug[k], aug[p] = aug[p], aug[k]
+        piv = aug[k][k]
+        aug[k] = [v / piv for v in aug[k]]
+        for r in range(n):
+            if r != k and aug[r][k]:
+                f = aug[r][k]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[k])]
+    return [r[n:] for r in aug]
+
+
+def _rand_quotient(rng):
+    """num/den over Q(a0)(a1), both of degree <= 2 with up to 3 terms."""
+    def poly():
+        p = {}
+        for _ in range(rng.randint(1, 3)):
+            e = [0, 0]
+            for _ in range(rng.randint(0, 2)):
+                e[rng.randrange(2)] += 1
+            p[tuple(e)] = p.get(tuple(e), 0) + \
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return {e: c for e, c in p.items() if c}
+    num, den = poly(), poly()
+    while not den:
+        den = poly()
+    return FieldElement(num, den, 2) if num else ZERO
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_gl4_inverse_degree_two_over_degree_two(seed):
+    # Intermediate field entries of a back substitution over the field
+    # passed the degree cap on such matrices; the inverse itself fits.
+    rng = random.Random(seed)
+    m = Matrix([[_rand_quotient(rng) for _ in range(4)] for _ in range(4)])
+    inv = mat_inv(m)
+    points = [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(5, 2), Fraction(3, 11)),
+              (Fraction(-7, 5), Fraction(13, 4))]
+    for point in points:
+        want = _gauss_jordan_inverse(_eval_matrix(m, point))
+        assert _eval_matrix(inv, point) == want
+
+
+def test_field_element_contract():
+    # Every element stores {exponent tuple: Fraction} with a monic
+    # dominant denominator, whatever coefficient types it was built from.
+    def check(x):
+        for p in (x.num, x.den):
+            assert all(type(e) is tuple and all(type(k) is int for k in e)
+                       and type(c) is Fraction for e, c in p.items())
+        assert x.den[min(x.den, key=lambda e: e[::-1])] == 1
+    built = [FieldElement({(1,): 3, (0,): 2}, {(0,): 4}, 1),
+             FieldElement({(1,): 3}, {(0,): 1}, 1),
+             FieldElement({(2, 0): 2, (0, 1): -4}, {(1, 0): 6, (0, 0): 2}, 2),
+             FieldElement({(1, 0): Fraction(1, 2)}, {(0, 1): 1, (1, 0): -3}, 2),
+             FieldElement({(0,): 5}, {(0,): -5}, 1)]
+    a, b, c, d, e = built
+    assert a == A0 * Fraction(3, 4) + Fraction(1, 2) and e == -ONE
+    results = built + [a + b, a * c, c - d, c / d, d.invert(), -c, e * a,
+                       (a + c) ** 3, c ** -2]
+    m = Matrix([[a, c], [d, b]])
+    results += [det(m), det(Matrix([[ONE, ZERO], [ZERO, ONE]]))]
+    results += [x for row in mat_inv(m).rows for x in row]
+    for x in results:
+        check(x)
 
 
 def test_det_matches_cofactor():

@@ -43,6 +43,34 @@ def test_divexact_roundtrip():
                      {(2,): Fraction(1)})
 
 
+def test_divexact_on_integer_coefficients():
+    rng = random.Random(4)
+    for _ in range(100):
+        w = rng.randint(1, 3)
+        a, b = ({tuple(rng.randint(0, deg) for _ in range(w)): rng.randint(-9, 9)
+                 for _ in range(terms)} for terms, deg in ((4, 3), (3, 2)))
+        a = {e: c for e, c in a.items() if c}
+        b = {e: c for e, c in b.items() if c}
+        if not a or not b:
+            continue
+        prod = P.p_mul(a, b)
+        assert all(type(c) is int for c in prod.values())
+        q = P.p_divexact(prod, b)
+        assert q == a and all(type(c) is int for c in q.values())
+        # the same division over Q: the quotient is a/2, not an error
+        assert P.p_divexact(prod, P.p_scale(b, 2)) == P.p_scale(a, Fraction(1, 2))
+        if not P._is_const(b):
+            with pytest.raises(ValueError):
+                P.p_divexact(P.p_add(prod, {(0,) * w: 1}), b)
+    # an inexact step on the coefficients, and one on the monomials
+    with pytest.raises(ValueError):
+        P.p_divexact({(1,): 3, (0,): 3}, {(1,): 2, (0,): 2})
+    with pytest.raises(ValueError):
+        P.p_divexact({(2,): 1, (0,): 1}, {(1,): 1, (0,): 1})
+    assert P.p_divexact({(2,): 4, (0,): -4}, {(1,): 2, (0,): 2}) == \
+        {(1,): 2, (0,): -2}
+
+
 def test_gcd_divides_and_cofactors_coprime():
     rng = random.Random(3)
     for _ in range(150):
@@ -54,6 +82,7 @@ def test_gcd_divides_and_cofactors_coprime():
             continue
         px, py = P.p_mul(x, z), P.p_mul(y, z)
         g = P.p_gcd(px, py)
+        assert all(type(c) is int for c in g.values())
         P.p_divexact(px, g)
         P.p_divexact(py, g)
         assert P._is_const(P.p_gcd(P.p_divexact(px, g), P.p_divexact(py, g)))
