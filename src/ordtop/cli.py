@@ -5,7 +5,8 @@ plus the suite runner and report merger.  Structured inputs come as
 JSON: inline when the argument starts with "[" or "{", from stdin for
 "-", and from the named file otherwise; --json switches the output to
 machine-readable form.  Exit codes: 0 success, 1 failed checks, 2 usage
-or input errors.
+or input errors, 3 internal errors (an exception that no input check
+names, reported as one line).
 """
 
 import argparse
@@ -38,6 +39,13 @@ def _read_payload(arg: str):
             f"cannot read payload file {arg!r}: {exc.strerror}") from None
 
 
+def _operand(args, i: int):
+    """The i-th positional operand; a missing one is an input error."""
+    if i >= len(args.args):
+        raise ValueError(f"{args.verb} {args.action} is missing operand {i + 1}")
+    return args.args[i]
+
+
 def _emit(args, data, plain=None):
     if getattr(args, "json", False):
         print(json.dumps(data, sort_keys=True, default=str))
@@ -49,20 +57,20 @@ def _emit(args, data, plain=None):
 
 def cmd_field(args):
     if args.action == "eval":
-        value = xf.parse_element(args.expr[0])
+        value = xf.parse_element(_operand(args, 0))
         _emit(args, {"value": xf.format_element(value)},
               xf.format_element(value))
     elif args.action == "compare":
-        a = xf.parse_element(args.expr[0])
-        b = xf.parse_element(args.expr[1])
+        a = xf.parse_element(_operand(args, 0))
+        b = xf.parse_element(_operand(args, 1))
         out = xf.compare(a, b)
         _emit(args, {"compare": out}, out)
     elif args.action == "invert":
-        value = xf.parse_element(args.expr[0]).invert()
+        value = xf.parse_element(_operand(args, 0)).invert()
         _emit(args, {"value": xf.format_element(value)},
               xf.format_element(value))
     elif args.action == "leading":
-        exps, coeff = xf.parse_element(args.expr[0]).leading_term()
+        exps, coeff = xf.parse_element(_operand(args, 0)).leading_term()
         _emit(args, {"exponents": list(exps), "coefficient": str(coeff)},
               f"exponents={list(exps)} coefficient={coeff}")
     return 0
@@ -72,33 +80,29 @@ def cmd_field(args):
 
 def cmd_matrix(args):
     if args.action == "shrink":
-        eps = xf.parse_element(args.args[0])
-        n = int(args.args[1])
+        eps = xf.parse_element(_operand(args, 0))
+        n = int(_operand(args, 1))
         delta = mg.shrink_radius(eps, n)
         _emit(args, {"delta": xf.format_element(delta)},
               xf.format_element(delta))
         return 0
-    payload = _read_payload(args.args[0])
+    payload = _read_payload(_operand(args, 0))
+
+    def matrix(rows):
+        return mg.Matrix([[xf.parse_element(c) for c in row] for row in rows])
+
     if args.action == "inv":
-        m = mg.Matrix([[xf.parse_element(c) for c in row] for row in payload])
-        out = mg.mat_inv(m)
+        out = mg.mat_inv(matrix(payload))
         _emit(args, [[xf.format_element(c) for c in row] for row in out.rows])
     elif args.action == "det":
-        m = mg.Matrix([[xf.parse_element(c) for c in row] for row in payload])
-        d = mg.det(m)
+        d = mg.det(matrix(payload))
         _emit(args, {"det": xf.format_element(d)}, xf.format_element(d))
     elif args.action == "mul":
-        a = mg.Matrix([[xf.parse_element(c) for c in row]
-                       for row in payload["a"]])
-        b = mg.Matrix([[xf.parse_element(c) for c in row]
-                       for row in payload["b"]])
-        out = mg.mat_mul(a, b)
+        out = mg.mat_mul(matrix(payload["a"]), matrix(payload["b"]))
         _emit(args, [[xf.format_element(c) for c in row] for row in out.rows])
     elif args.action == "ball":
-        m = mg.Matrix([[xf.parse_element(c) for c in row]
-                       for row in payload["matrix"]])
         eps = xf.parse_element(payload["eps"])
-        member = mg.ball_member(m, eps)
+        member = mg.ball_member(matrix(payload["matrix"]), eps)
         _emit(args, {"member": member}, "member" if member else "outside")
     return 0
 
@@ -106,24 +110,23 @@ def cmd_matrix(args):
 # --- reduced power ------------------------------------------------------------
 
 def _seq(data) -> rp.EventualSeq:
-    if isinstance(data, str):
-        return rp.from_json(data)
-    return rp.from_json(json.dumps(data))
+    """A sequence from decoded JSON, or from JSON text nested as a string."""
+    return rp.from_json(data) if isinstance(data, str) else rp.from_data(data)
 
 
 def cmd_rp(args):
     if args.action == "compare":
-        x = _seq(_read_payload(args.args[0]))
-        y = _seq(_read_payload(args.args[1]))
+        x = _seq(_read_payload(_operand(args, 0)))
+        y = _seq(_read_payload(_operand(args, 1)))
         out = rp.compare_ev(x, y)
         _emit(args, {"compare": out}, out)
     elif args.action == "metric":
-        x = _seq(_read_payload(args.args[0]))
-        y = _seq(_read_payload(args.args[1]))
+        x = _seq(_read_payload(_operand(args, 0)))
+        y = _seq(_read_payload(_operand(args, 1)))
         d = rp.star_metric(x, y)
         _emit(args, json.loads(rp.to_json(d)), rp.to_json(d))
     elif args.action == "interleave":
-        payload = _read_payload(args.args[0])
+        payload = _read_payload(_operand(args, 0))
         instances = [(_seq(item["center"]), _seq(item["radius"]))
                      for item in payload["instances"]]
         out = rp.interleave(instances, payload.get("cuts", []))
@@ -132,7 +135,7 @@ def cmd_rp(args):
             "certified": len(out.certificates),
         }, rp.to_json(out.witness))
     elif args.action == "baire":
-        payload = _read_payload(args.args[0])
+        payload = _read_payload(_operand(args, 0))
         ball = rp.Ball(_seq(payload["ball"]["center"]),
                        _seq(payload["ball"]["radius"]))
         forbidden = [rp.Ball(_seq(item["center"]), _seq(item["radius"]))
@@ -159,7 +162,7 @@ def cmd_group(args):
         return cmd_suite(argparse.Namespace(
             name="rd-lemmas", seed=args.seed, scale=args.scale,
             json=args.json, out=None))
-    payload = _read_payload(args.args[0])
+    payload = _read_payload(_operand(args, 0))
     group = _group_from(payload)
     if args.action == "sym-member":
         sets = [gt.SubsetSpec.from_texts(group, texts)
@@ -208,7 +211,7 @@ def _poset_from(data) -> ol.FinitePoset:
 
 
 def cmd_order(args):
-    payload = _read_payload(args.args[0])
+    payload = _read_payload(_operand(args, 0))
     if args.action == "check-map":
         d = _poset_from(payload["domain"])
         e = _poset_from(payload["codomain"])
@@ -269,7 +272,7 @@ def _alpha_from(data) -> ol.FnSeq:
 
 
 def cmd_uniformity(args):
-    payload = _read_payload(args.args[0])
+    payload = _read_payload(_operand(args, 0))
     space = _space_from(payload["space"])
     if args.action == "u-alpha":
         alpha = _alpha_from(payload["alpha"])
@@ -369,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("field", help="tower field arithmetic")
     p.add_argument("action", choices=["eval", "compare", "invert", "leading"])
-    p.add_argument("expr", nargs="+")
+    p.add_argument("args", nargs="+", metavar="expr")
     common(p)
     p.set_defaults(func=cmd_field)
 
@@ -434,6 +437,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

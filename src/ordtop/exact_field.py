@@ -32,7 +32,7 @@ _limits = {"height": MAX_HEIGHT, "degree": DEFAULT_MAX_DEGREE}
 
 
 class TowerLimitError(ValueError):
-    """Raised when a result exceeds the configured height or degree caps."""
+    """Raised when a result exceeds the height, degree or power-size caps."""
 
 
 def set_limits(max_height: int | None = None, max_degree: int | None = None) -> None:
@@ -196,10 +196,7 @@ class FieldElement:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.invert() ** (-n)
-        bits = n * _power_bits(self)
-        if bits > MAX_POWER_BITS:
-            raise TowerLimitError(
-                f"power coefficients of up to {bits} bits exceed the cap {MAX_POWER_BITS}")
+        check_power(n, self.num.values(), self.den.values())
         out = FieldElement.from_rational(1)
         base = self
         while n:
@@ -272,21 +269,25 @@ class FieldElement:
         return format_element(self)
 
 
-def _power_bits(a: FieldElement) -> int:
-    """b such that every coefficient of a ** n has numerator and
-    denominator at most 2 ** (n * b).
+def check_power(n: int, num, den) -> None:
+    """Refuse (num / den) ** n when its coefficients could pass MAX_POWER_BITS.
 
-    a ** n is num ** n / den ** n, already canonical (den's dominant
-    coefficient stays 1).  With q the lcm of a polynomial's coefficient
-    denominators and s = q * (sum of |coefficients|), each coefficient
-    of its n-th power is k / q ** n with |k| <= s ** n.
+    num and den are the Fraction coefficients of a canonical quotient,
+    whose denominator has leading coefficient one.  Its n-th power is
+    num ** n / den ** n, canonical as it stands.  With q the lcm of a
+    polynomial's coefficient denominators and s = q * (sum of
+    |coefficients|), each coefficient of its n-th power is k / q ** n
+    with |k| <= s ** n, so every numerator and denominator there is at
+    most 2 ** (n * bits) for the bits below.
     """
     bits = 0
-    for p in (a.num, a.den):
-        q = lcm(*(c.denominator for c in p.values()))
-        s = sum(abs(c.numerator) * (q // c.denominator) for c in p.values())
-        bits = max(bits, (s - 1).bit_length(), (q - 1).bit_length())
-    return bits
+    for p in (num, den):
+        q = lcm(*(c.denominator for c in p))
+        s = sum(abs(c.numerator) * (q // c.denominator) for c in p)
+        bits = max(bits, max(s - 1, 0).bit_length(), (q - 1).bit_length())
+    if n * bits > MAX_POWER_BITS:
+        raise TowerLimitError(f"power coefficients of up to {n * bits} bits "
+                              f"exceed the cap {MAX_POWER_BITS}")
 
 
 def compare(a: FieldElement, b: FieldElement) -> str:
@@ -306,78 +307,33 @@ def sign(a: FieldElement) -> int:
 def arithmetic(op: str, a: FieldElement, b: FieldElement) -> FieldElement:
     a = FieldElement._coerce(a)
     b = FieldElement._coerce(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}; expected add, sub, mul or div")
+    if op not in expr.BINARY:
+        raise ValueError(f"unknown operation {op!r}; expected add, sub, mul or div")
+    return expr.BINARY[op](a, b)
 
 
 # -- text format --------------------------------------------------------
 
 def parse_element(text: str) -> FieldElement:
     """Parse the expression grammar: rationals, a0..a7, + - * / ^."""
-    ast = expr.parse(text)
-    for name in expr.variables(ast):
-        if name not in _VAR_NAMES:
-            raise ValueError(f"unknown variable {name!r}; expected a0..a{MAX_HEIGHT - 1}")
-    return _eval_ast(ast)
+    return expr.evaluate(expr.parse(text, _VAR_NAMES), _leaf)
 
 
-def _eval_ast(ast) -> FieldElement:
-    kind = ast[0]
+def _leaf(kind: str, value) -> FieldElement:
     if kind == "num":
-        return FieldElement.from_rational(ast[1])
-    if kind == "var":
-        return FieldElement.var(_VAR_NAMES.index(ast[1]))
-    if kind == "neg":
-        return -_eval_ast(ast[1])
-    if kind == "pow":
-        return _eval_ast(ast[1]) ** ast[2]
-    lhs = _eval_ast(ast[1])
-    rhs = _eval_ast(ast[2])
-    if kind == "add":
-        return lhs + rhs
-    if kind == "sub":
-        return lhs - rhs
-    if kind == "mul":
-        return lhs * rhs
-    if kind == "div":
-        return lhs / rhs
-    raise ValueError(f"unhandled node {kind!r}")
+        return FieldElement.from_rational(value)
+    return FieldElement.var(_VAR_NAMES.index(value))
 
 
-def _format_poly(p: P.Poly) -> str:
-    if not p:
-        return "0"
-    parts = []
+def _terms(p: P.Poly):
     for e in sorted(p, key=P.dominance_key):
-        c = p[e]
-        mono = "*".join(
-            f"{_VAR_NAMES[j]}^{k}" if k > 1 else _VAR_NAMES[j]
-            for j, k in enumerate(e) if k
-        )
-        if mono:
-            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-        else:
-            body = str(abs(c))
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        yield p[e], "*".join(f"{_VAR_NAMES[j]}^{k}" if k > 1 else _VAR_NAMES[j]
+                             for j, k in enumerate(e) if k)
 
 
 def format_element(a: FieldElement) -> str:
     """Canonical text form; parses back to an equal element."""
-    if not a.num:
-        return "0"
-    num = _format_poly(a.num)
+    num = expr.format_terms(_terms(a.num))
     if P._is_const(a.den) and P.dominant_coeff(a.den) == 1:
         return num
-    den = _format_poly(a.den)
-    return f"({num})/({den})"
+    return f"({num})/({expr.format_terms(_terms(a.den))})"

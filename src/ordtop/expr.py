@@ -1,15 +1,20 @@
 """Tiny expression grammar shared by the field and sequence parsers.
 
-Accepts integers, named variables, the operators ``+ - * / ^`` with the
-usual precedence, and parentheses.  ``^`` binds tightest, requires an
-integer exponent, and is right-associative.  Produces a small tuple AST:
-('num', n) | ('var', name) | ('neg', x) | ('add'|'sub'|'mul'|'div', l, r)
-| ('pow', base, exponent).  Nesting (parentheses and signs) and the
-depth of the AST are both capped at MAX_DEPTH, so the recursive parser
-and the recursive evaluators stay far below the interpreter's recursion
-limit; a deeper input raises ExprError.
+Accepts integers, the caller's variable names, the operators
+``+ - * / ^`` with the usual precedence, and parentheses.  ``^`` binds
+tightest, requires an integer exponent, and is right-associative.
+Produces a small tuple AST: ('num', n) | ('var', name) | ('neg', x)
+| ('add'|'sub'|'mul'|'div', l, r) | ('pow', base, exponent).  Nesting
+(parentheses and signs) and the depth of the AST are both capped at
+MAX_DEPTH, so the recursive parser and evaluator stay far below the
+interpreter's recursion limit, and a long flat sum or product cannot
+make evaluation run for seconds; a deeper input raises ExprError.
+
+The field and the sequence tails each supply only their leaves to
+evaluate() and their monomial text to format_terms().
 """
 
+import operator
 import re
 
 MAX_DEPTH = 150
@@ -43,8 +48,9 @@ def tokenize(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, names):
         self.tokens = tokens
+        self.names = names
         self.pos = 0
         self.nesting = 0
 
@@ -125,6 +131,10 @@ class _Parser:
         if kind == "num":
             return ("num", value)
         if kind == "var":
+            if value not in self.names:
+                first, last = self.names[0], self.names[-1]
+                expected = first if first == last else f"{first}..{last}"
+                raise ExprError(f"unknown variable {value!r}; expected {expected}")
             return ("var", value)
         if tok == ("op", "("):
             inner = self.nested(self.parse_sum)
@@ -133,11 +143,15 @@ class _Parser:
         raise ExprError(f"unexpected token {value!r}")
 
 
-def parse(text: str):
+def parse(text: str, names: tuple):
+    """The AST of text, whose variables must be among names (in order:
+    errors spell them as first..last)."""
+    if not isinstance(text, str):
+        raise ExprError(f"expression must be a string, got {type(text).__name__}")
     tokens = tokenize(text)
     if not tokens:
         raise ExprError("empty expression")
-    parser = _Parser(tokens)
+    parser = _Parser(tokens, names)
     ast = parser.parse_sum()
     if parser.pos != len(tokens):
         raise ExprError(f"trailing input at token {parser.tokens[parser.pos]!r}")
@@ -157,14 +171,40 @@ def _depth(ast) -> int:
     return best
 
 
-def variables(ast) -> set:
+# The binary AST nodes and the operators that evaluate() applies to them.
+BINARY = {"add": operator.add, "sub": operator.sub,
+          "mul": operator.mul, "div": operator.truediv}
+
+
+def evaluate(ast, leaf):
+    """Fold the AST with Python's operators; leaf(kind, value) gives the
+    value of each 'num' and 'var' node."""
     kind = ast[0]
-    if kind == "num":
-        return set()
-    if kind == "var":
-        return {ast[1]}
-    if kind in ("neg",):
-        return variables(ast[1])
+    if kind == "num" or kind == "var":
+        return leaf(kind, ast[1])
+    if kind == "neg":
+        return -evaluate(ast[1], leaf)
     if kind == "pow":
-        return variables(ast[1])
-    return variables(ast[1]) | variables(ast[2])
+        return evaluate(ast[1], leaf) ** ast[2]
+    lhs = evaluate(ast[1], leaf)
+    return BINARY[kind](lhs, evaluate(ast[2], leaf))
+
+
+def format_terms(terms) -> str:
+    """Join (coefficient, monomial text) pairs as 'c*m + ... - ...'.
+
+    Zero coefficients are dropped, an empty monomial stands for 1, and a
+    coefficient of magnitude 1 is left out before a monomial; "0" when
+    no term is left.
+    """
+    parts = []
+    for c, mono in terms:
+        if not c:
+            continue
+        a = abs(c)
+        body = (mono if a == 1 else f"{a}*{mono}") if mono else str(a)
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"

@@ -241,12 +241,16 @@ def tukey_to_monotone(g, poset: FinitePoset, certificate=None) -> TukeyConversio
 
 
 def search_unbounded_certificate(g, poset: FinitePoset):
-    """A level-witness family proving the converted map cofinal, if any.
+    """A level-witness family proving the converted map cofinal, if any."""
+    return unbounded_certificate(tukey_to_monotone(g, poset))
+
+
+def unbounded_certificate(conv: TukeyConversion):
+    """The certificate of a conversion that is cofinal, else None.
 
     Level xi is witnessed by the first non-overflow point, in element
     order, whose value reaches xi.
     """
-    conv = tukey_to_monotone(g, poset)
     if not conv.is_cofinal:
         return None
     cert = {}

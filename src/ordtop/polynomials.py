@@ -115,20 +115,6 @@ def p_mul(p: Poly, q: Poly) -> Poly:
     return r
 
 
-def p_pow(p: Poly, n: int, width: int) -> Poly:
-    if n < 0:
-        raise ValueError("negative exponent on a polynomial")
-    r = const(1, width)
-    b = p
-    while n:
-        if n & 1:
-            r = p_mul(r, b)
-        n >>= 1
-        if n:
-            b = p_mul(b, b)
-    return r
-
-
 def total_degree(p: Poly) -> int:
     return max((sum(e) for e in p), default=0)
 

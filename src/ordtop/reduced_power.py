@@ -11,8 +11,17 @@ import json
 from fractions import Fraction
 
 from . import expr
+from . import polynomials as P
+from .exact_field import check_power
 
 LT, EQ, GT = "LT", "EQ", "GT"
+
+# Cap on the degree of a tail's numerator and denominator.
+MAX_TAIL_DEGREE = 64
+# Cap on the terms past the given prefixes that are examined one by one:
+# scanned for a vanishing tail denominator, or written into a
+# star-metric prefix.  Both run up to a Cauchy root bound.
+MAX_SETTLE = 10_000
 
 
 # --- univariate rational functions over Q --------------------------------
@@ -46,31 +55,15 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b):
-        c = r[-1] / lead
-        k = len(r) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-        while r and r[-1] == 0:
-            r.pop()
-        if not any(r):
-            r = []
-    return _trim(q), _trim(r)
+def _as_poly(a) -> P.Poly:
+    return {(i,): c for i, c in enumerate(a) if c}
 
 
-def _pgcd(a, b):
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    return tuple(c / a[-1] for c in a)
+def _as_coeffs(p: P.Poly) -> tuple:
+    out = [Fraction(0)] * (max(p)[0] + 1)
+    for (i,), c in p.items():
+        out[i] = c
+    return tuple(out)
 
 
 def _peval(a, x: int) -> Fraction:
@@ -90,6 +83,17 @@ def _cauchy_bound(a) -> int:
     return int(bound) + 1
 
 
+def _check_degree(d: int) -> None:
+    if d > MAX_TAIL_DEGREE:
+        raise ValueError(f"tail degree {d} exceeds the cap {MAX_TAIL_DEGREE}")
+
+
+def _check_settle(terms: int) -> None:
+    if terms > MAX_SETTLE:
+        raise ValueError(
+            f"{terms} terms past the prefix exceed the settle cap {MAX_SETTLE}")
+
+
 class RatFunc:
     """Canonical quotient of univariate rational polynomials in n."""
 
@@ -103,14 +107,19 @@ class RatFunc:
         if not num:
             den = (Fraction(1),)
         else:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
+            # The tower's heuristic gcd, on one variable: Euclid's
+            # algorithm over Q swells the coefficients until adding two
+            # tails of degree 16 takes seconds.
+            pn, pd = _as_poly(num), _as_poly(den)
+            g = P.p_gcd(pn, pd)
+            if max(g) > (0,):
+                num = _as_coeffs(P.p_divexact(pn, g))
+                den = _as_coeffs(P.p_divexact(pd, g))
             lead = den[-1]
             if lead != 1:
                 num = tuple(c / lead for c in num)
                 den = tuple(c / lead for c in den)
+        _check_degree(max(len(num), len(den)) - 1)
         self.num = num
         self.den = den
 
@@ -141,6 +150,27 @@ class RatFunc:
 
     def __mul__(self, other):
         return RatFunc(_pmul(self.num, other.num), _pmul(self.den, other.den))
+
+    def __truediv__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero in tail expression")
+        return RatFunc(_pmul(self.num, other.den), _pmul(self.den, other.num))
+
+    def __pow__(self, k: int) -> "RatFunc":
+        if k < 0:
+            if self.is_zero():
+                raise ZeroDivisionError("zero raised to a negative power")
+            return RatFunc(self.den, self.num) ** -k
+        _check_degree(k * (max(len(self.num), len(self.den)) - 1))
+        check_power(k, self.num, self.den)
+        out, base = RatFunc.constant(1), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
     def scale(self, c) -> "RatFunc":
         return RatFunc(tuple(x * Fraction(c) for x in self.num), self.den)
@@ -173,8 +203,9 @@ class EventualSeq:
     def __init__(self, prefix, tail: RatFunc):
         self.prefix = tuple(Fraction(c) for c in prefix)
         self.tail = tail
-        bound = max(len(self.prefix), _cauchy_bound(tail.den))
-        for n in range(len(self.prefix), bound + 1):
+        start, bound = len(self.prefix), _cauchy_bound(tail.den)
+        _check_settle(bound - start)
+        for n in range(start, bound + 1):
             if _peval(tail.den, n) == 0:
                 raise ValueError(
                     f"tail denominator vanishes at n={n}, beyond the prefix")
@@ -208,11 +239,6 @@ class EventualSeq:
     def scale(self, c) -> "EventualSeq":
         c = Fraction(c)
         return EventualSeq([v * c for v in self.prefix], self.tail.scale(c))
-
-    def shift_by(self, c) -> "EventualSeq":
-        c = Fraction(c)
-        return EventualSeq([v + c for v in self.prefix],
-                           self.tail + RatFunc.constant(c))
 
     def __eq__(self, other):
         """Pointwise equality of the sequences, not of representations."""
@@ -273,6 +299,7 @@ def star_metric(x: EventualSeq, y: EventualSeq) -> StarValue:
     for poly in (_padd(diff.num, _pneg(diff.den)), _padd(diff.num, diff.den)):
         if poly:
             settle = max(settle, _cauchy_bound(poly))
+    _check_settle(settle - max(len(x.prefix), len(y.prefix)))
     prefix = []
     for i in range(settle):
         d = abs(x.value_at(i) - y.value_at(i))
@@ -437,70 +464,28 @@ def baire_witness(open_ball: Ball, forbidden) -> BaireWitness:
 
 # --- JSON wire format ------------------------------------------------------
 
-def _ratfunc_from_ast(ast) -> RatFunc:
-    kind = ast[0]
-    if kind == "num":
-        return RatFunc.constant(ast[1])
-    if kind == "var":
-        if ast[1] != "n":
-            raise ValueError(f"unknown variable {ast[1]!r}; tails use n")
-        return RatFunc((Fraction(0), Fraction(1)))
-    if kind == "neg":
-        return -_ratfunc_from_ast(ast[1])
-    if kind == "pow":
-        base = _ratfunc_from_ast(ast[1])
-        k = ast[2]
-        out = RatFunc.constant(1)
-        for _ in range(abs(k)):
-            out = out * base
-        if k < 0:
-            if out.is_zero():
-                raise ZeroDivisionError("zero raised to a negative power")
-            out = RatFunc(out.den, out.num)
-        return out
-    lhs = _ratfunc_from_ast(ast[1])
-    rhs = _ratfunc_from_ast(ast[2])
-    if kind == "add":
-        return lhs + rhs
-    if kind == "sub":
-        return lhs - rhs
-    if kind == "mul":
-        return lhs * rhs
-    if kind == "div":
-        if rhs.is_zero():
-            raise ZeroDivisionError("division by zero in tail expression")
-        return RatFunc(_pmul(lhs.num, rhs.den), _pmul(lhs.den, rhs.num))
-    raise ValueError(f"unhandled node {kind!r}")
+_N = RatFunc((Fraction(0), Fraction(1)))
 
 
 def parse_tail(text: str) -> RatFunc:
-    return _ratfunc_from_ast(expr.parse(text))
+    """Parse the expression grammar: rationals, n, + - * / ^."""
+    return expr.evaluate(expr.parse(text, ("n",)), _leaf)
+
+
+def _leaf(kind: str, value) -> RatFunc:
+    return RatFunc.constant(value) if kind == "num" else _N
+
+
+def _terms(coeffs):
+    for i, c in enumerate(coeffs):
+        yield c, "" if i == 0 else "n" if i == 1 else f"n^{i}"
 
 
 def format_tail(f: RatFunc) -> str:
-    def poly_text(coeffs):
-        if not coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            elif i == 1:
-                body = "n" if abs(c) == 1 else f"{abs(c)}*n"
-            else:
-                body = f"n^{i}" if abs(c) == 1 else f"{abs(c)}*n^{i}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    num = poly_text(f.num)
+    num = expr.format_terms(_terms(f.num))
     if f.den == (Fraction(1),):
         return num
-    return f"({num})/({poly_text(f.den)})"
+    return f"({num})/({expr.format_terms(_terms(f.den))})"
 
 
 def to_json(seq: EventualSeq) -> str:
@@ -511,7 +496,11 @@ def to_json(seq: EventualSeq) -> str:
 
 
 def from_json(text: str) -> EventualSeq:
-    data = json.loads(text)
+    return from_data(json.loads(text))
+
+
+def from_data(data) -> EventualSeq:
+    """The sequence of decoded JSON {"prefix": [...], "tail": "..."}."""
     if not isinstance(data, dict) or "tail" not in data:
         raise ValueError('sequence JSON needs {"prefix": [...], "tail": "..."}')
     prefix = [Fraction(c) for c in data.get("prefix", [])]

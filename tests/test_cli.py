@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ordtop.cli import main
 from ordtop.exact_field import MAX_POWER_BITS
 from ordtop.expr import MAX_DEPTH
+from ordtop.reduced_power import MAX_SETTLE, MAX_TAIL_DEGREE
 
 
 def run(capsys, *argv):
@@ -70,6 +74,91 @@ def test_power_at_coefficient_cap_formats(capsys):
     assert run(capsys, "field", "eval", text) == (0, f"{2 ** MAX_POWER_BITS}\n", "")
     code, _, err = run(capsys, "field", "eval", f"2^{MAX_POWER_BITS + 1}")
     assert code == 2 and "exceed the cap" in err
+
+
+def _tail(text):
+    return json.dumps({"prefix": [], "tail": text})
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["rp", "compare", _tail("n^200000"), _tail("n")], 2,
+     f"error: tail degree 200000 exceeds the cap {MAX_TAIL_DEGREE}\n"),
+    (["rp", "compare", _tail("(n+1)^65"), _tail("n")], 2,
+     f"error: tail degree 65 exceeds the cap {MAX_TAIL_DEGREE}\n"),
+    (["rp", "compare", _tail("2^1000000000000"), _tail("n")], 2,
+     f"error: power coefficients of up to 1000000000000 bits exceed the cap {MAX_POWER_BITS}\n"),
+    (["rp", "compare", _tail("1/(n-100000000)"), _tail("n")], 2,
+     f"error: 100000002 terms past the prefix exceed the settle cap {MAX_SETTLE}\n"),
+    (["rp", "metric", _tail("n/1000000000"), _tail("0")], 2,
+     f"error: 1000000002 terms past the prefix exceed the settle cap {MAX_SETTLE}\n"),
+    (["rp", "compare", '{"tail": 5}', '{"tail": "n"}'], 2,
+     "error: expression must be a string, got int\n"),
+    (["rp", "metric", _tail("n")], 2, "error: rp metric is missing operand 2\n"),
+    (["field", "compare", "a0"], 2, "error: field compare is missing operand 2\n"),
+    (["matrix", "inv", "[1]"], 3,
+     "internal error: TypeError: 'int' object is not iterable\n"),
+    (["order", "diagonal", '{"rows": 5}'], 3,
+     "internal error: TypeError: 'int' object is not iterable\n"),
+    (["group", "sym-member", '{"sets": [["a"]], "word": 5}'], 3,
+     "internal error: AttributeError: 'int' object has no attribute 'strip'\n"),
+])
+def test_bounded_inputs_and_exit_codes(capsys, argv, code, message):
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (code, "", message)
+    assert time.perf_counter() - start < 1
+
+
+def test_zero_to_a_large_power(capsys):
+    assert run(capsys, "field", "eval", "0^1000000000000") == (0, "0\n", "")
+    assert run(capsys, "rp", "compare", _tail("0^1000000000000"), _tail("0")) == (0, "EQ\n", "")
+
+
+def test_tail_power_at_degree_cap(capsys):
+    x = _tail(f"(n+1)^{MAX_TAIL_DEGREE}")
+    assert run(capsys, "rp", "compare", x, _tail(f"n^{MAX_TAIL_DEGREE}")) == (0, "GT\n", "")
+
+
+def _expressions(names):
+    atoms = st.one_of(st.integers(0, 10 ** 12).map(str), st.sampled_from(names))
+
+    def grow(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+            st.tuples(inner, st.integers(-10 ** 12, 10 ** 12)).map(
+                lambda t: f"({t[0]})^({t[1]})"),
+            inner.map(lambda t: f"-{t}"))
+
+    noise = st.text("".join(names) + "0123456789+-*/^() ", max_size=40)
+    return st.one_of(st.recursive(atoms, grow, max_leaves=12), noise)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, time.perf_counter() - start, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_expressions(["a0", "a1", "a7", "b"]))
+def test_field_eval_answers_or_exits_2(text):
+    code, seconds, err = _run_quietly(["field", "eval", "--", text])
+    assert code in (0, 2), err
+    assert err.count("\n") == (code == 2)
+    assert seconds < 5
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_expressions(["n", "m"]), _expressions(["n"]))
+def test_rp_compare_answers_or_exits_2(x, y):
+    code, seconds, err = _run_quietly(["rp", "compare", _tail(x), _tail(y)])
+    assert code in (0, 2), err
+    assert err.count("\n") == (code == 2)
+    assert seconds < 5
 
 
 def test_matrix_verbs(capsys, tmp_path):

@@ -241,3 +241,10 @@ def test_each_variable_infinitesimal_over_lower_tower(x):
     if j < 8 and sign(x) > 0:
         aj = FieldElement.var(j)
         assert compare(aj, x) == LT
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(field_elements(height=8))
+def test_format_parse_round_trip(x):
+    assert parse_element(format_element(x)) == x

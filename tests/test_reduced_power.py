@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordtop.reduced_power import (
     EQ,
@@ -14,6 +15,7 @@ from ordtop.reduced_power import (
     RatFunc,
     baire_witness,
     compare_ev,
+    format_tail,
     from_json,
     interleave,
     parse_tail,
@@ -282,3 +284,14 @@ def test_pole_beyond_prefix_rejected():
         EventualSeq([], parse_tail("1/(n-5)"))
     # fine once the prefix covers the root
     EventualSeq([0, 0, 0, 0, 0, 0], parse_tail("1/(n-5)"))
+
+
+rationals = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, max_size=7),
+       st.lists(rationals, min_size=1, max_size=7).filter(any))
+def test_tail_format_parse_round_trip(num, den):
+    f = RatFunc(num, den)
+    assert parse_tail(format_tail(f)) == f
