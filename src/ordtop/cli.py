@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import exact_field as xf
+from . import expr
 from . import group_topology as gt
 from . import matrix_group as mg
 from . import order_lab as ol
@@ -87,22 +88,19 @@ def cmd_matrix(args):
               xf.format_element(delta))
         return 0
     payload = _read_payload(_operand(args, 0))
-
-    def matrix(rows):
-        return mg.Matrix([[xf.parse_element(c) for c in row] for row in rows])
-
     if args.action == "inv":
-        out = mg.mat_inv(matrix(payload))
+        out = mg.mat_inv(mg.matrix_from_data(payload))
         _emit(args, [[xf.format_element(c) for c in row] for row in out.rows])
     elif args.action == "det":
-        d = mg.det(matrix(payload))
+        d = mg.det(mg.matrix_from_data(payload))
         _emit(args, {"det": xf.format_element(d)}, xf.format_element(d))
     elif args.action == "mul":
-        out = mg.mat_mul(matrix(payload["a"]), matrix(payload["b"]))
+        out = mg.mat_mul(mg.matrix_from_data(payload["a"]),
+                         mg.matrix_from_data(payload["b"]))
         _emit(args, [[xf.format_element(c) for c in row] for row in out.rows])
     elif args.action == "ball":
         eps = xf.parse_element(payload["eps"])
-        member = mg.ball_member(matrix(payload["matrix"]), eps)
+        member = mg.ball_member(mg.matrix_from_data(payload["matrix"]), eps)
         _emit(args, {"member": member}, "member" if member else "outside")
     return 0
 
@@ -232,7 +230,12 @@ def cmd_order(args):
               f"join_le={le} branch_subset={subset}")
         return 0 if le == subset else 1
     elif args.action == "diagonal":
-        rows = [tuple(row) for row in payload["rows"]]
+        rows = payload["rows"]
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and len(row) > i and type(row[i]) is int
+                for i, row in enumerate(rows))):
+            raise ValueError('"rows" must be arrays, row i holding an integer at index i')
+        rows = [tuple(row) for row in rows]
         z, cert = ol.diagonal_witness(rows)
         _emit(args, {"z": list(z),
                      "certificate": [list(c) for c in cert]},
@@ -240,7 +243,7 @@ def cmd_order(args):
     elif args.action == "box":
         f = ol.FnSeq(tuple(payload["f"]["values"]),
                      payload["f"].get("tail", 1))
-        vector = {int(k): Fraction(v)
+        vector = {int(k): expr.number(v)
                   for k, v in payload["vector"].items()}
         member = ol.box_nbhd(f).contains(vector)
         _emit(args, {"member": member}, "member" if member else "outside")
@@ -254,13 +257,13 @@ def _space_from(data) -> ul.MetricSpacePresentation:
     if kind == "convergent_sequence":
         decomposition = None
         if "decomposition" in data:
-            decomposition = [frozenset(Fraction(p) for p in part)
+            decomposition = [frozenset(expr.number(p) for p in part)
                              for part in data["decomposition"]]
         return ul.convergent_sequence(data.get("n_max", 100), decomposition)
     if kind == "metric_fan":
         return ul.metric_fan(data.get("spokes", 3), data.get("depth", 5))
     if kind == "table":
-        table = {tuple(k.split("|")): Fraction(v)
+        table = {tuple(k.split("|")): expr.number(v)
                  for k, v in data["distances"].items()}
         decomposition = [frozenset(part) for part in data["decomposition"]]
         return ul.finite_table_space(data["points"], table, decomposition)
@@ -276,15 +279,15 @@ def cmd_uniformity(args):
     space = _space_from(payload["space"])
     if args.action == "u-alpha":
         alpha = _alpha_from(payload["alpha"])
-        x, y = (Fraction(p) for p in payload["pair"])
+        x, y = (expr.number(p) for p in payload["pair"])
         member = ul.u_alpha_member(space, alpha, x, y)
         _emit(args, {"member": member}, "member" if member else "outside")
     elif args.action == "cofinal-search":
-        radii = {Fraction(k): Fraction(v)
+        radii = {expr.number(k): expr.number(v)
                  for k, v in payload["radii"].items()}
         if "default_radius" in payload:
             for p in space.points:
-                radii.setdefault(p, Fraction(payload["default_radius"]))
+                radii.setdefault(p, expr.number(payload["default_radius"]))
         target = ul.SpacedDiagonalNeighbourhood(space, radii)
         out = ul.base_cofinal_search(space, target)
         if isinstance(out, ul.FailureUpTo):
@@ -308,7 +311,7 @@ def cmd_uniformity(args):
         f[zero] = ol.FnSeq((payload.get("f_limit", 1),),
                            payload.get("f_limit", 1))
         ent = ul.countable_base(space, bases, f)
-        x, y = (Fraction(p) for p in payload["pair"])
+        x, y = (expr.number(p) for p in payload["pair"])
         member = ent.contains(x, y)
         _emit(args, {"member": member}, "member" if member else "outside")
     return 0

@@ -11,13 +11,18 @@ interpreter's recursion limit, and a long flat sum or product cannot
 make evaluation run for seconds; a deeper input raises ExprError.
 
 The field and the sequence tails each supply only their leaves to
-evaluate() and their monomial text to format_terms().
+evaluate() and their monomial text to format_terms().  Plain numbers
+in JSON payloads are read by number().
 """
 
 import operator
 import re
+from fractions import Fraction
 
 MAX_DEPTH = 150
+# Python's default cap on int <-> text digits: a larger decimal exponent
+# would make Fraction build a power of ten the program cannot print.
+MAX_EXPONENT = 4300
 _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
@@ -208,3 +213,22 @@ def format_terms(terms) -> str:
         else:
             parts.append(body if c > 0 else f"-{body}")
     return " ".join(parts) or "0"
+
+
+def number(value) -> Fraction:
+    """A payload number as a Fraction: an int, a finite float, or text
+    that Fraction reads ("-3/4", "1.5e3") with a decimal exponent of at
+    most MAX_EXPONENT; anything else raises ValueError."""
+    if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
+        try:
+            too_big = bool(e) and abs(int(exponent)) > MAX_EXPONENT
+        except ValueError:  # not an exponent: Fraction refuses the text
+            too_big = False
+        if too_big:
+            raise ValueError(f"number {value[:40]!r} has a decimal exponent "
+                             f"beyond {MAX_EXPONENT}")
+    try:
+        return Fraction(value)
+    except (TypeError, OverflowError):  # another type, or an infinite float
+        raise ValueError(f"expected a finite number, got {value!r:.40}") from None

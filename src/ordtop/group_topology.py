@@ -75,6 +75,8 @@ class FreeGroup:
         return sum(abs(e) for _, e in w)
 
     def parse(self, text: str):
+        if not isinstance(text, str):
+            raise ValueError(f"word must be a string, got {type(text).__name__}")
         text = text.strip()
         if not text or text == "e":
             return self.identity
@@ -213,13 +215,13 @@ class PhiMap:
 
 # --- products and symmetric products --------------------------------------
 
-def product_set(bs, cap: int = FACTOR_CAP) -> SubsetSpec:
+def product_set(bs) -> SubsetSpec:
     """Exact ordered product set of finitely many subsets."""
     bs = list(bs)
     if not bs:
         raise ValueError("product of an empty list of sets")
-    if len(bs) > cap:
-        raise ValueError(f"{len(bs)} factors exceed the cap {cap}")
+    if len(bs) > FACTOR_CAP:
+        raise ValueError(f"{len(bs)} factors exceed the cap {FACTOR_CAP}")
     group = bs[0].group
     acc = {group.identity}
     for b in bs:
@@ -300,15 +302,19 @@ def _sym_walk(group, sets, horizon, lo=0, hi=None):
     yield from rec((), 0, {group.identity: ()}, sum(maxlens))
 
 
-def sym_member(w, bs, horizon: int, cap: int = FACTOR_CAP):
+def _check_horizon(horizon: int, count: int) -> None:
+    if horizon > min(count, FACTOR_CAP):
+        raise ValueError(f"horizon {horizon} exceeds the available sets or cap")
+
+
+def sym_member(w, bs, horizon: int):
     """Membership of w in the truncated symmetric product of bs.
 
     Yes answers are definitive and certified; NoUpTo(horizon) only
     excludes factorizations with at most `horizon` factors.
     """
     bs = list(bs)
-    if horizon > min(len(bs), cap):
-        raise ValueError(f"horizon {horizon} exceeds the available sets or cap")
+    _check_horizon(horizon, len(bs))
     w = tuple(w)
     if horizon == 0:
         return SymNoUpTo(0)
@@ -320,7 +326,7 @@ def sym_member(w, bs, horizon: int, cap: int = FACTOR_CAP):
     return SymNoUpTo(horizon)
 
 
-def sym_set(bs, horizon: int, length_cap=None, cap: int = FACTOR_CAP) -> dict:
+def sym_set(bs, horizon: int, length_cap=None) -> dict:
     """All members of the truncated symmetric product, with certificates.
 
     With a length_cap, only words of length at most the cap are
@@ -328,8 +334,7 @@ def sym_set(bs, horizon: int, length_cap=None, cap: int = FACTOR_CAP) -> dict:
     the remaining factors could still cancel).
     """
     bs = list(bs)
-    if horizon > min(len(bs), cap):
-        raise ValueError(f"horizon {horizon} exceeds the available sets or cap")
+    _check_horizon(horizon, len(bs))
     out: dict = {}
     for k, sigma, products in _sym_walk(bs[0].group, bs, horizon,
                                         hi=length_cap):
@@ -394,8 +399,7 @@ def i_of_entourage(pairs, group=None, abelian: bool = False):
 
 # --- SIN base membership ------------------------------------------------------
 
-def sin_base_member(w, vs, horizon: int, support=None, group=None,
-                    cap: int = FACTOR_CAP):
+def sin_base_member(w, vs, horizon: int, support=None, group=None):
     """Membership in the truncated SIN base element built from vs.
 
     Each of the first `horizon` sets contributes one factor from
@@ -404,8 +408,7 @@ def sin_base_member(w, vs, horizon: int, support=None, group=None,
     the abelian case this collapses to a partial-sum dynamic programme.
     """
     vs = list(vs)
-    if horizon > min(len(vs), cap):
-        raise ValueError(f"horizon {horizon} exceeds the available sets or cap")
+    _check_horizon(horizon, len(vs))
     if group is None:
         group = vs[0].group
     w = tuple(w)
@@ -439,7 +442,7 @@ def sin_base_member(w, vs, horizon: int, support=None, group=None,
                 words.add(group.conjugate(group.inv(x), g))
         words.add(group.identity)  # omission
         factors.append(SubsetSpec(group, words))
-    return sym_member(w, factors, horizon, cap=cap)
+    return sym_member(w, factors, horizon)
 
 
 # --- monotonicity and the lemma checks ----------------------------------------
@@ -462,10 +465,10 @@ def rd_monotone_check(phis, psis, words, horizon, support, group) -> bool:
     return True
 
 
-def symmetry_violations(vsets, horizon, length_cap=None) -> set:
+def symmetry_violations(vsets, horizon) -> set:
     """Words in the truncated symmetric product whose inverse is missing."""
     group = vsets[0].group
-    members = set(sym_set(vsets, horizon, length_cap=length_cap))
+    members = set(sym_set(vsets, horizon))
     return {w for w in members if group.inv(w) not in members}
 
 
@@ -509,7 +512,7 @@ def conjugation_violations(phis, support, h, group, horizon) -> set:
             if group.conjugate(w, h) not in outer}
 
 
-def birkhoff_kakutani_violations(chain, k, length_cap=None) -> set:
+def birkhoff_kakutani_violations(chain, k) -> set:
     """sym over V_{k+2}.. escaping V_k, checked on the explicit sets.
 
     chain[n] are symmetric sets with chain[n+1]^2 inside chain[n]; both
@@ -529,7 +532,7 @@ def birkhoff_kakutani_violations(chain, k, length_cap=None) -> set:
     upper = chain[k + 2:]
     if not upper:
         return set()
-    members = set(sym_set(upper, len(upper), length_cap=length_cap))
+    members = set(sym_set(upper, len(upper)))
     target = chain[k].words
     return {w for w in members if w not in target}
 

@@ -74,29 +74,24 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def _cleared_rows(a: Matrix):
     """Scale each row into Z[a]; returns the rows and their multipliers.
 
-    Row i is multiplied by the product of its entries' denominators and
-    then by the lcm of every coefficient denominator left in the row and
-    in that product, so both the entries and the multiplier m_i have
-    integer coefficients.  Row scaling of the augmented system
-    [A | diag(m)] leaves the solution of A X = I untouched.
+    Row i is multiplied by the lcm m of its entries' denominators, kept
+    as a running m * (d / gcd(m, d)), and then by the lcm of every
+    coefficient denominator left in the row and in m, so both the
+    entries and the multiplier m_i have integer coefficients.  Row
+    scaling of the augmented system [A | diag(m)] leaves the solution of
+    A X = I untouched.
     """
     h = a.height
-    n = a.n
     poly_rows = []
     multipliers = []
-    for i in range(n):
-        nums = [P.widen(x.num, h) for x in a.rows[i]]
-        dens = [P.widen(x.den, h) for x in a.rows[i]]
-        m = P.const(1, h)
-        for d in dens:
-            m = P.p_mul(m, d)
-        row = []
-        for j in range(n):
-            q = nums[j]
-            for k in range(n):
-                if k != j:
-                    q = P.p_mul(q, dens[k])
-            row.append(q)
+    for entries in a.rows:
+        nums = [P.widen(x.num, h) for x in entries]
+        dens = [P.widen(x.den, h) for x in entries]
+        m = dens[0]
+        for d in dens[1:]:
+            if d != m:
+                m = P.p_mul(m, P.p_divexact(d, P.p_gcd(m, d)))
+        row = [P.p_mul(q, P.p_divexact(m, d)) for q, d in zip(nums, dens)]
         scale = lcm(*(c.denominator for p in (*row, m) for c in p.values()))
         poly_rows.append([P.to_integer(q, scale) for q in row])
         multipliers.append(P.to_integer(m, scale))
@@ -220,7 +215,11 @@ def matrix_to_json(a: Matrix) -> str:
 
 
 def matrix_from_json(text: str) -> Matrix:
-    data = json.loads(text)
-    if not isinstance(data, list):
+    return matrix_from_data(json.loads(text))
+
+
+def matrix_from_data(data) -> Matrix:
+    """The matrix of decoded JSON, an array of arrays of expressions."""
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
         raise ValueError("matrix JSON must be an array of arrays of expressions")
     return Matrix([[parse_element(cell) for cell in row] for row in data])

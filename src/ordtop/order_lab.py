@@ -112,13 +112,10 @@ class Branch:
         if set(self.preperiod + self.period) - {"0", "1"}:
             raise ValueError("branches are binary strings")
 
-    def bit(self, i: int) -> str:
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
-
     def bits(self, count: int) -> str:
-        return "".join(self.bit(i) for i in range(count))
+        """The first count bits of the branch."""
+        reps = count // len(self.period) + 1
+        return (self.preperiod + self.period * reps)[:max(count, 0)]
 
     def same_branch(self, other: "Branch") -> bool:
         bound = (max(len(self.preperiod), len(other.preperiod))
@@ -132,7 +129,8 @@ def prefix_code(bits: str) -> int:
 
 
 def branch_codes(branch: Branch, depth: int) -> frozenset:
-    return frozenset(prefix_code(branch.bits(k)) for k in range(depth + 1))
+    bits = branch.bits(depth)
+    return frozenset(prefix_code(bits[:k]) for k in range(depth + 1))
 
 
 def disambiguation_depth(branches) -> int:

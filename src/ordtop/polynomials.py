@@ -16,9 +16,7 @@ from operator import add, neg, sub
 
 Term = tuple[int, ...]
 Poly = dict[Term, Fraction | int]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+IPoly = dict  # exponent tuple -> int; gcd internals run on plain ints
 
 
 def const(c, width: int) -> Poly:
@@ -32,7 +30,7 @@ def variable(j: int, width: int) -> Poly:
     if not 0 <= j < width:
         raise ValueError(f"variable index {j} out of range for width {width}")
     exp = tuple(1 if i == j else 0 for i in range(width))
-    return {exp: ONE}
+    return {exp: Fraction(1)}
 
 
 def widen(p: Poly, width: int) -> Poly:
@@ -207,28 +205,6 @@ def p_divexact(p: Poly, d: Poly) -> Poly:
     return {_flip(t): c for t, c in q.items()}
 
 
-def rat_content(p: Poly) -> Fraction:
-    """Positive rational c with p/c integer-coefficient and coprime."""
-    if not p:
-        return ONE
-    num = 0
-    den = 1
-    for c in p.values():
-        num = gcd(num, abs(c.numerator))
-        den = lcm(den, c.denominator)
-    return Fraction(num, den)
-
-
-def primitive(p: Poly) -> tuple[Poly, Fraction]:
-    """Split p = content * pp with pp integer, coprime, dominant-positive."""
-    if not p:
-        return {}, ZERO
-    c = rat_content(p)
-    if sign_of(p) < 0:
-        c = -c
-    return {e: v / c for e, v in p.items()}, c
-
-
 def _split_main(p: Poly, j: int) -> dict[int, Poly]:
     parts: dict[int, Poly] = {}
     for e, c in p.items():
@@ -246,14 +222,14 @@ def _join_main(parts: dict[int, Poly], j: int) -> Poly:
     return p
 
 
-def _content_main(parts: dict[int, Poly]) -> Poly:
-    g: Poly = {}
+def _content_main(parts: dict[int, IPoly]) -> IPoly:
+    g: IPoly = {}
     for sub in parts.values():
         g = p_gcd(g, sub)
     return g
 
 
-def _prem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
+def _prem(a: dict[int, IPoly], b: dict[int, IPoly]) -> dict[int, IPoly]:
     """Pseudo-remainder of a by b in the split main variable."""
     db = max(b)
     lcb = b[db]
@@ -261,7 +237,7 @@ def _prem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
     while r and max(r) >= db:
         dr = max(r)
         lcr = r[dr]
-        nr: dict[int, Poly] = {}
+        nr: dict[int, IPoly] = {}
         for k, c in r.items():
             if k != dr:
                 nr[k] = p_mul(c, lcb)
@@ -273,11 +249,10 @@ def _prem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
     return r
 
 
-def _primitive_main(parts: dict[int, Poly]) -> dict[int, Poly]:
+def _primitive_main(parts: dict[int, IPoly]) -> tuple[dict[int, IPoly], IPoly]:
+    """Nonzero parts divided by their content, and the content."""
     cont = _content_main(parts)
-    if not cont:
-        return {}
-    return {k: p_divexact(v, cont) for k, v in parts.items()}
+    return {k: p_divexact(v, cont) for k, v in parts.items()}, cont
 
 
 def _is_const(p: Poly) -> bool:
@@ -302,15 +277,11 @@ def p_gcd(p: Poly, q: Poly) -> Poly:
         # After stripping monomial factors a single term is a unit here.
         core = {(0,) * width: 1}
     else:
-        core = _heugcd(_int_primitive(a), _int_primitive(b), width)
-        if core is None:
-            core = _int_primitive(_gcd_pp(primitive(a)[0], primitive(b)[0], width))
+        a, b = _int_primitive(a), _int_primitive(b)
+        core = _heugcd(a, b, width) or _gcd_pp(a, b, width)
     if any(common):
         core = p_mul(core, {common: 1})
     return core
-
-
-IPoly = dict  # exponent tuple -> int; gcd internals run on plain ints
 
 
 def to_integer(p: Poly, scale: int) -> IPoly:
@@ -320,7 +291,7 @@ def to_integer(p: Poly, scale: int) -> IPoly:
 
 
 def _int_primitive(p: Poly) -> IPoly:
-    """primitive(p)[0] with int coefficients, computed without Fractions."""
+    """p's primitive part in Z[a], dominant-positive, without Fractions."""
     return _iprimitive(to_integer(p, lcm(*(c.denominator for c in p.values()))))[0]
 
 
@@ -426,9 +397,10 @@ def _iinterpolate(h: IPoly, j: int, xi: int) -> IPoly:
     return out
 
 
-def _gcd_pp(a: Poly, b: Poly, width: int) -> Poly:
+def _gcd_pp(a: IPoly, b: IPoly, width: int) -> IPoly:
+    """Pseudo-remainder gcd of two int primitive parts."""
     if _is_const(a) or _is_const(b):
-        return const(1, width)
+        return {(0,) * width: 1}
     main = -1
     for j in range(width - 1, -1, -1):
         if any(e[j] for e in a) or any(e[j] for e in b):
@@ -442,18 +414,16 @@ def _gcd_pp(a: Poly, b: Poly, width: int) -> Poly:
         # One side does not involve the main variable: the gcd cannot
         # either, so recurse on the other side's coefficient content.
         return p_gcd(_content_main(sa), _join_main(sb, main))
-    ca = _content_main(sa)
-    cb = _content_main(sb)
-    ppa = {k: p_divexact(v, ca) for k, v in sa.items()}
-    ppb = {k: p_divexact(v, cb) for k, v in sb.items()}
+    ppa, ca = _primitive_main(sa)
+    ppb, cb = _primitive_main(sb)
     cont = p_gcd(ca, cb)
     while True:
         if max(ppb) == 0:
-            g: Poly = const(1, width)
+            g: IPoly = {(0,) * width: 1}
             break
         r = _prem(ppa, ppb)
         if not r:
             g = _join_main(ppb, main)
             break
-        ppa, ppb = ppb, _primitive_main(r)
-    return primitive(p_mul(cont, g))[0]
+        ppa, ppb = ppb, _primitive_main(r)[0]
+    return _iprimitive(p_mul(cont, g))[0]

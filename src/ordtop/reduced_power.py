@@ -503,5 +503,5 @@ def from_data(data) -> EventualSeq:
     """The sequence of decoded JSON {"prefix": [...], "tail": "..."}."""
     if not isinstance(data, dict) or "tail" not in data:
         raise ValueError('sequence JSON needs {"prefix": [...], "tail": "..."}')
-    prefix = [Fraction(c) for c in data.get("prefix", [])]
+    prefix = [expr.number(c) for c in data.get("prefix", [])]
     return EventualSeq(prefix, parse_tail(data["tail"]))

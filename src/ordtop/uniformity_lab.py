@@ -21,6 +21,8 @@ from fractions import Fraction
 
 from .order_lab import FnSeq
 
+TRIANGLE_SAMPLES = 20000  # seeded triples checked when a space has more
+
 
 def _level(d):
     """The largest a >= 0 with d < 2^-a; -1 if d >= 1, inf if d <= 0."""
@@ -47,7 +49,7 @@ class MetricSpacePresentation:
                  "_tables")
 
     def __init__(self, points, dist, decomposition, name="space",
-                 validate=True, sample_cap=20000, seed=0):
+                 validate=True):
         self.points = tuple(points)
         self._dist = dist
         self.decomposition = tuple(frozenset(k) for k in decomposition)
@@ -58,13 +60,13 @@ class MetricSpacePresentation:
                 if p not in self._tables:
                     raise ValueError(f"decomposition point {p!r} not in space")
         if validate:
-            self._validate(sample_cap, seed)
+            self._validate()
         self._pieces = tuple(tuple(part) for part in self.decomposition)
 
     def dist(self, x, y) -> Fraction:
         return self._dist(x, y)
 
-    def _validate(self, sample_cap, seed):
+    def _validate(self):
         pts = self.points
         for x in pts:
             if self.dist(x, x) != 0:
@@ -77,12 +79,12 @@ class MetricSpacePresentation:
                 if d != self.dist(y, x):
                     raise ValueError(f"metric is not symmetric on {x!r}, {y!r}")
         n = len(pts)
-        if n ** 3 <= sample_cap:
+        if n ** 3 <= TRIANGLE_SAMPLES:
             triples = ((x, y, z) for x in pts for y in pts for z in pts)
         else:
-            rng = random.Random(seed)
+            rng = random.Random(0)
             triples = ((rng.choice(pts), rng.choice(pts), rng.choice(pts))
-                       for _ in range(sample_cap))
+                       for _ in range(TRIANGLE_SAMPLES))
         for x, y, z in triples:
             if self.dist(x, z) > self.dist(x, y) + self.dist(y, z):
                 raise ValueError(

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ordtop.cli import main
 from ordtop.exact_field import MAX_POWER_BITS
-from ordtop.expr import MAX_DEPTH
+from ordtop.expr import MAX_DEPTH, MAX_EXPONENT
 from ordtop.reduced_power import MAX_SETTLE, MAX_TAIL_DEGREE
 
 
@@ -95,12 +95,16 @@ def _tail(text):
      "error: expression must be a string, got int\n"),
     (["rp", "metric", _tail("n")], 2, "error: rp metric is missing operand 2\n"),
     (["field", "compare", "a0"], 2, "error: field compare is missing operand 2\n"),
-    (["matrix", "inv", "[1]"], 3,
-     "internal error: TypeError: 'int' object is not iterable\n"),
-    (["order", "diagonal", '{"rows": 5}'], 3,
-     "internal error: TypeError: 'int' object is not iterable\n"),
-    (["group", "sym-member", '{"sets": [["a"]], "word": 5}'], 3,
-     "internal error: AttributeError: 'int' object has no attribute 'strip'\n"),
+    (["matrix", "inv", "[1]"], 2,
+     "error: matrix JSON must be an array of arrays of expressions\n"),
+    (["order", "diagonal", '{"rows": 5}'], 2,
+     'error: "rows" must be arrays, row i holding an integer at index i\n'),
+    (["group", "sym-member", '{"sets": [["a"]], "word": 5}'], 2,
+     "error: word must be a string, got int\n"),
+    (["rp", "compare", '{"prefix": ["1e10000000"], "tail": "n"}', _tail("n")], 2,
+     f"error: number '1e10000000' has a decimal exponent beyond {MAX_EXPONENT}\n"),
+    (["rp", "compare", '{"prefix": [1e400], "tail": "n"}', _tail("n")], 2,
+     "error: expected a finite number, got inf\n"),
 ])
 def test_bounded_inputs_and_exit_codes(capsys, argv, code, message):
     start = time.perf_counter()

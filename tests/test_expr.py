@@ -4,10 +4,14 @@ Each row pins the canonical text of a parse, or the error type and
 message, for the tower field and for sequence tails.
 """
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from ordtop.exact_field import format_element, parse_element
-from ordtop.expr import MAX_DEPTH, ExprError, evaluate, format_terms, parse
+from ordtop.expr import (MAX_DEPTH, MAX_EXPONENT, ExprError, evaluate,
+                         format_terms, number, parse)
 from ordtop.reduced_power import format_tail, parse_tail
 
 TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
@@ -83,3 +87,29 @@ def test_format_terms():
     assert format_terms([]) == "0"
     assert format_terms([(0, "x"), (0, "")]) == "0"
     assert format_terms([(-1, "x"), (2, ""), (-3, "y^2"), (1, "z")]) == "-x + 2 - 3*y^2 + z"
+
+
+@pytest.mark.parametrize("value, want", [
+    (2, Fraction(2)), (0.25, Fraction(1, 4)), (Fraction(-3, 4), Fraction(-3, 4)),
+    ("-3/4", Fraction(-3, 4)), (" 1.5e3 ", Fraction(1500)), ("2E-2", Fraction(1, 50)),
+    (f"1e{MAX_EXPONENT}", Fraction(10) ** MAX_EXPONENT), ("1e0_1", Fraction(10)),
+])
+def test_number_reads_payload_numbers(value, want):
+    got = number(value)
+    assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("value, message", [
+    (f"1e{MAX_EXPONENT + 1}", "decimal exponent beyond"),
+    (f"-2.5E-{MAX_EXPONENT + 1}", "decimal exponent beyond"),
+    ("1e1_0000", "decimal exponent beyond"),
+    ("1e", "Invalid literal"),
+    ("sweet", "Invalid literal"),
+    (float("inf"), "expected a finite number, got inf"),
+    (float("nan"), "NaN"),
+    ([1], "expected a finite number, got [1]"),
+    (None, "expected a finite number, got None"),
+])
+def test_number_refuses(value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        number(value)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,29 @@ def test_gl4_inverse_degree_two_over_degree_two(seed):
     for point in points:
         want = _gauss_jordan_inverse(_eval_matrix(m, point))
         assert _eval_matrix(inv, point) == want
+
+
+_DET_OF_INVERSE = """
+import random
+from test_matrix_group import Matrix, _rand_quotient, det, mat_inv
+rng = random.Random({seed})
+m = Matrix([[_rand_quotient(rng) for _ in range({n})] for _ in range({n})])
+assert det(mat_inv(m)) * det(m) == 1
+"""
+
+
+@pytest.mark.parametrize("n, seed, timeout", [(3, 1, 3), (4, 4, 20)])
+def test_det_of_inverse_is_bounded(n, seed, timeout):
+    # The entries of an inverse share one denominator; clearing a row by
+    # the product of its denominators raised it to the n-th power: on a
+    # 2-core host (Python 3.11) these took 7.9 s and over 60 s, and take
+    # 0.04 s and 1.6 s with the lcm.  A subprocess bounds the wait, and
+    # each timeout leaves room for a slower host.
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    subprocess.run([sys.executable, "-c", _DET_OF_INVERSE.format(n=n, seed=seed)],
+                   env=env, check=True, timeout=timeout)
 
 
 def test_field_element_contract():

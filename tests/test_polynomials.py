@@ -101,16 +101,21 @@ def test_heuristic_gcd_matches_subresultant_route():
             continue
         px, py = P.p_mul(x, z), P.p_mul(y, z)
         via_heu = P.p_gcd(px, py)
-        via_prs = P._gcd_pp(P.primitive(px)[0], P.primitive(py)[0], w)
+        via_prs = P._gcd_pp(P._int_primitive(px), P._int_primitive(py), w)
         assert via_heu == via_prs
 
 
 def test_primitive_normalization():
-    p = {(1,): Fraction(-4, 6), (0,): Fraction(2, 3)}
-    pp, cont = P.primitive(p)
-    assert pp == {(1,): Fraction(-1), (0,): Fraction(1)}
-    assert cont == Fraction(2, 3)
+    p = {(1,): 4, (0,): -6}
+    pp, cont = P._iprimitive(p)
+    assert pp == {(1,): -2, (0,): 3}
+    assert cont == -2
     assert P.sign_of(pp) > 0
+    assert all(type(c) is int for c in pp.values())
+    assert P._iprimitive({}) == ({}, 0)
+    pp = P._int_primitive({(1,): Fraction(-4, 6), (0,): Fraction(2, 3)})
+    assert pp == {(1,): -1, (0,): 1}
+    assert all(type(c) is int for c in pp.values())
 
 
 def test_widen_shrink():
