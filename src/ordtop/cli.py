@@ -47,6 +47,32 @@ def _operand(args, i: int):
     return args.args[i]
 
 
+_MISSING = object()
+_KIND_NAMES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", bool: "true or false"}
+
+
+def _checked(value, kind, what):
+    """value, which must be a `kind`; any other shape is an input error."""
+    if not isinstance(value, kind) or (kind is int and type(value) is bool):
+        raise ValueError(f"{what} must be {_KIND_NAMES[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _field(data, key, kind, default=_MISSING):
+    """data[key] checked by `_checked`, or `default` if the key is absent
+    and a default is given."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object holding {key!r}, "
+                         f"got {type(data).__name__}")
+    if key not in data:
+        if default is _MISSING:
+            raise ValueError(f"missing {key!r}")
+        return default
+    return _checked(data[key], kind, repr(key))
+
+
 def _emit(args, data, plain=None):
     if getattr(args, "json", False):
         print(json.dumps(data, sort_keys=True, default=str))
@@ -95,12 +121,13 @@ def cmd_matrix(args):
         d = mg.det(mg.matrix_from_data(payload))
         _emit(args, {"det": xf.format_element(d)}, xf.format_element(d))
     elif args.action == "mul":
-        out = mg.mat_mul(mg.matrix_from_data(payload["a"]),
-                         mg.matrix_from_data(payload["b"]))
+        out = mg.mat_mul(mg.matrix_from_data(_field(payload, "a", list)),
+                         mg.matrix_from_data(_field(payload, "b", list)))
         _emit(args, [[xf.format_element(c) for c in row] for row in out.rows])
     elif args.action == "ball":
-        eps = xf.parse_element(payload["eps"])
-        member = mg.ball_member(mg.matrix_from_data(payload["matrix"]), eps)
+        eps = xf.parse_element(_field(payload, "eps", str))
+        member = mg.ball_member(
+            mg.matrix_from_data(_field(payload, "matrix", list)), eps)
         _emit(args, {"member": member}, "member" if member else "outside")
     return 0
 
@@ -126,7 +153,7 @@ def cmd_rp(args):
     elif args.action == "interleave":
         payload = _read_payload(_operand(args, 0))
         instances = [(_seq(item["center"]), _seq(item["radius"]))
-                     for item in payload["instances"]]
+                     for item in _field(payload, "instances", list)]
         out = rp.interleave(instances, payload.get("cuts", []))
         _emit(args, {
             "witness": json.loads(rp.to_json(out.witness)),
@@ -134,8 +161,8 @@ def cmd_rp(args):
         }, rp.to_json(out.witness))
     elif args.action == "baire":
         payload = _read_payload(_operand(args, 0))
-        ball = rp.Ball(_seq(payload["ball"]["center"]),
-                       _seq(payload["ball"]["radius"]))
+        ball = _field(payload, "ball", dict)
+        ball = rp.Ball(_seq(ball["center"]), _seq(ball["radius"]))
         forbidden = [rp.Ball(_seq(item["center"]), _seq(item["radius"]))
                      for item in payload.get("forbidden", [])]
         out = rp.baire_witness(ball, forbidden)
@@ -149,8 +176,8 @@ def cmd_rp(args):
 # --- group ---------------------------------------------------------------------
 
 def _group_from(payload):
-    gens = tuple(payload.get("generators", ("a", "b")))
-    if payload.get("abelian"):
+    gens = tuple(_field(payload, "generators", list, ["a", "b"]))
+    if _field(payload, "abelian", bool, False):
         return gt.FreeAbelianGroup(gens)
     return gt.FreeGroup(gens)
 
@@ -163,10 +190,10 @@ def cmd_group(args):
     payload = _read_payload(_operand(args, 0))
     group = _group_from(payload)
     if args.action == "sym-member":
-        sets = [gt.SubsetSpec.from_texts(group, texts)
-                for texts in payload["sets"]]
+        sets = [gt.SubsetSpec.from_texts(group, _checked(texts, list, "a set"))
+                for texts in _field(payload, "sets", list)]
         word = group.parse(payload["word"])
-        res = gt.sym_member(word, sets, payload.get("horizon", len(sets)))
+        res = gt.sym_member(word, sets, _field(payload, "horizon", int, len(sets)))
         if res.is_member:
             _emit(args, {
                 "member": True,
@@ -209,7 +236,7 @@ def _poset_from(data) -> ol.FinitePoset:
 
 
 def cmd_order(args):
-    payload = _read_payload(_operand(args, 0))
+    payload = _checked(_read_payload(_operand(args, 0)), dict, "the payload")
     if args.action == "check-map":
         d = _poset_from(payload["domain"])
         e = _poset_from(payload["codomain"])
@@ -252,39 +279,77 @@ def cmd_order(args):
 
 # --- uniformity ---------------------------------------------------------------------
 
-def _space_from(data) -> ul.MetricSpacePresentation:
-    kind = data.get("kind", "convergent_sequence")
+# The limit point that countable-base gives a tail base, per space kind;
+# every point of a table space is isolated.
+_LIMITS = {"convergent_sequence": Fraction(0), "metric_fan": "c"}
+
+
+def _space_from(data):
+    """The payload's space kind and the space it describes."""
+    kind = _field(data, "kind", str, "convergent_sequence")
     if kind == "convergent_sequence":
         decomposition = None
         if "decomposition" in data:
-            decomposition = [frozenset(expr.number(p) for p in part)
-                             for part in data["decomposition"]]
-        return ul.convergent_sequence(data.get("n_max", 100), decomposition)
+            decomposition = [
+                frozenset(expr.number(p) for p in _checked(part, list, "a piece"))
+                for part in _field(data, "decomposition", list)]
+        return kind, ul.convergent_sequence(_field(data, "n_max", int, 100),
+                                            decomposition)
     if kind == "metric_fan":
-        return ul.metric_fan(data.get("spokes", 3), data.get("depth", 5))
+        return kind, ul.metric_fan(_field(data, "spokes", int, 3),
+                                   _field(data, "depth", int, 5))
     if kind == "table":
         table = {tuple(k.split("|")): expr.number(v)
-                 for k, v in data["distances"].items()}
-        decomposition = [frozenset(part) for part in data["decomposition"]]
-        return ul.finite_table_space(data["points"], table, decomposition)
+                 for k, v in _field(data, "distances", dict).items()}
+        decomposition = [frozenset(_checked(part, list, "a piece"))
+                         for part in _field(data, "decomposition", list)]
+        return kind, ul.finite_table_space(_field(data, "points", list), table,
+                                           decomposition)
     raise ValueError(f"unknown space kind {kind!r}")
 
 
+def _point_from(kind, data):
+    """A point named in a payload: a number on a convergent sequence, "c"
+    or [spoke, k] on a metric fan, a name in a table space."""
+    if kind == "convergent_sequence":
+        return expr.number(data)
+    if kind == "metric_fan":
+        if data == "c":
+            return data
+        if not (isinstance(data, list) and len(data) == 2
+                and all(type(v) is int for v in data)):
+            raise ValueError(f'a metric_fan point is "c" or [spoke, k], '
+                             f'got {json.dumps(data)}')
+        return tuple(data)
+    return _checked(data, str, "a table point")
+
+
+def _pair_from(payload, kind, space):
+    pair = _field(payload, "pair", list)
+    if len(pair) != 2:
+        raise ValueError(f'"pair" must name two points, got {len(pair)}')
+    points = tuple(_point_from(kind, p) for p in pair)
+    for raw, p in zip(pair, points):
+        if space.position(p) is None:
+            raise ValueError(f"{json.dumps(raw)} is not a point of {space.name}")
+    return points
+
+
 def _alpha_from(data) -> ol.FnSeq:
-    return ol.FnSeq(tuple(data["values"]), data.get("tail", 0))
+    return ol.FnSeq(tuple(_field(data, "values", list)), _field(data, "tail", int, 0))
 
 
 def cmd_uniformity(args):
     payload = _read_payload(_operand(args, 0))
-    space = _space_from(payload["space"])
+    kind, space = _space_from(_field(payload, "space", dict))
     if args.action == "u-alpha":
-        alpha = _alpha_from(payload["alpha"])
-        x, y = (expr.number(p) for p in payload["pair"])
+        alpha = _alpha_from(_field(payload, "alpha", dict))
+        x, y = _pair_from(payload, kind, space)
         member = ul.u_alpha_member(space, alpha, x, y)
         _emit(args, {"member": member}, "member" if member else "outside")
     elif args.action == "cofinal-search":
         radii = {expr.number(k): expr.number(v)
-                 for k, v in payload["radii"].items()}
+                 for k, v in _field(payload, "radii", dict).items()}
         if "default_radius" in payload:
             for p in space.points:
                 radii.setdefault(p, expr.number(payload["default_radius"]))
@@ -303,15 +368,16 @@ def cmd_uniformity(args):
               f"alpha={list(out.values)} tail={out.tail} audit={len(bad)}")
         return 0 if not bad else 1
     elif args.action == "countable-base":
-        zero = Fraction(0)
-        bases = {p: ul.principal_base(p) for p in space.points if p != zero}
-        bases[zero] = ul.tail_base(space)
-        f = {p: ol.FnSeq((payload.get("f_isolated", 1),), 1)
-             for p in space.points}
-        f[zero] = ol.FnSeq((payload.get("f_limit", 1),),
-                           payload.get("f_limit", 1))
+        isolated = ol.FnSeq((_field(payload, "f_isolated", int, 1),), 1)
+        bases = {p: ul.principal_base(p) for p in space.points}
+        f = dict.fromkeys(space.points, isolated)
+        limit = _LIMITS.get(kind)
+        if limit is not None:
+            f_limit = _field(payload, "f_limit", int, 1)
+            bases[limit] = ul.tail_base(space, limit)
+            f[limit] = ol.FnSeq((f_limit,), f_limit)
         ent = ul.countable_base(space, bases, f)
-        x, y = (expr.number(p) for p in payload["pair"])
+        x, y = _pair_from(payload, kind, space)
         member = ent.contains(x, y)
         _emit(args, {"member": member}, "member" if member else "outside")
     return 0

@@ -133,6 +133,11 @@ def branch_codes(branch: Branch, depth: int) -> frozenset:
     return frozenset(prefix_code(bits[:k]) for k in range(depth + 1))
 
 
+# The deepest join that the suites, tests and benchmark cut; a join holds
+# depth + 1 prefix codes of up to depth bits per branch.
+MAX_AD_DEPTH = 64
+
+
 def disambiguation_depth(branches) -> int:
     """Two distinct branches agreeing this far agree forever."""
     branches = list(branches)
@@ -157,16 +162,23 @@ class AdJoin:
 
 
 def ad_join(branches, depth: int) -> AdJoin:
-    """Pointwise join of the prefix-set indicators, to the given depth."""
+    """Pointwise join of the prefix-set indicators, to the given depth.
+
+    The depth is checked before the branches are compared, so that no
+    comparison runs past MAX_AD_DEPTH bits."""
     branches = list(branches)
-    for i, r in enumerate(branches):
-        for s in branches[i + 1:]:
-            if r.same_branch(s):
-                raise ValueError("branches must be pairwise distinct")
+    if type(depth) is not int:
+        raise ValueError(f"depth must be an integer, got {type(depth).__name__}")
+    if depth > MAX_AD_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the cap {MAX_AD_DEPTH}")
     required = disambiguation_depth(branches)
     if depth < required:
         raise ValueError(
             f"depth {depth} is below the disambiguation bound {required}")
+    for i, r in enumerate(branches):
+        for s in branches[i + 1:]:
+            if r.same_branch(s):
+                raise ValueError("branches must be pairwise distinct")
     codes = frozenset().union(*(branch_codes(b, depth) for b in branches)) \
         if branches else frozenset()
     return AdJoin(codes, depth)

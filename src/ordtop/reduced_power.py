@@ -503,5 +503,8 @@ def from_data(data) -> EventualSeq:
     """The sequence of decoded JSON {"prefix": [...], "tail": "..."}."""
     if not isinstance(data, dict) or "tail" not in data:
         raise ValueError('sequence JSON needs {"prefix": [...], "tail": "..."}')
-    prefix = [expr.number(c) for c in data.get("prefix", [])]
+    prefix = data.get("prefix", [])
+    if not isinstance(prefix, list):
+        raise ValueError(f"sequence prefix must be an array, got {type(prefix).__name__}")
+    prefix = [expr.number(c) for c in prefix]
     return EventualSeq(prefix, parse_tail(data["tail"]))

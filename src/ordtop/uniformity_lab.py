@@ -11,17 +11,24 @@ In the max metric the open r-ball around (k, k) is the square
 B(k, r) x B(k, r), so every entourage here is a union of squares
 (plus the diagonal for the reflexive ones) and is stored as rows: the
 row of a point is the bitmask of the squares that hold it, and (x, y)
-is a member iff the two rows share a bit.
+is a member iff the two rows share a bit.  Over a space the rows form a
+list in `space.points` order, so listing pairs and auditing one
+entourage against another are bit tests on positions, with no lookup
+by point.
 """
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .order_lab import FnSeq
 
 TRIANGLE_SAMPLES = 20000  # seeded triples checked when a space has more
+# The most points a space may have: convergent_sequence(100), the largest
+# space that the suites, tests and benchmark build.  metric_fan validates
+# pair by pair, so its time grows with the square of this.
+MAX_POINTS = 101
 
 
 def _level(d):
@@ -37,27 +44,43 @@ def _level(d):
     return a
 
 
+def _check_size(count, what):
+    if count > MAX_POINTS:
+        raise ValueError(f"{what} has {count} points; the cap is {MAX_POINTS}")
+
+
 class MetricSpacePresentation:
     """Finite point set, exact metric, and a compact decomposition.
 
-    The level table that `ball_row` reads is built for a point of the
-    space on its first use and kept (concurrent first uses build the
-    same table, so the cache needs no lock).
+    With `dist` None the points are rationals under |x - y|, and
+    `cover_rows` finds each ball by bisection instead of testing every
+    point.  The level table that `ball_row` reads is built for a point
+    of the space on its first use and kept (concurrent first uses build
+    the same table, so the cache needs no lock).
     """
 
     __slots__ = ("points", "_dist", "decomposition", "name", "_pieces",
-                 "_tables")
+                 "_index", "_tables", "_line")
 
     def __init__(self, points, dist, decomposition, name="space",
                  validate=True):
         self.points = tuple(points)
+        _check_size(len(self.points), name)
+        self._index = {p: i for i, p in enumerate(self.points)}
+        if len(self._index) != len(self.points):
+            raise ValueError("the points of a space must be distinct")
+        self._line = None
+        if dist is None:
+            order = sorted(range(len(self.points)), key=self.points.__getitem__)
+            self._line = (order, [self.points[i] for i in order])
+            dist = _line_dist
         self._dist = dist
         self.decomposition = tuple(frozenset(k) for k in decomposition)
         self.name = name
-        self._tables = dict.fromkeys(self.points)
+        self._tables = [None] * len(self.points)
         for part in self.decomposition:
             for p in part:
-                if p not in self._tables:
+                if p not in self._index:
                     raise ValueError(f"decomposition point {p!r} not in space")
         if validate:
             self._validate()
@@ -65,6 +88,10 @@ class MetricSpacePresentation:
 
     def dist(self, x, y) -> Fraction:
         return self._dist(x, y)
+
+    def position(self, p):
+        """The index of p in `points`, or None for a point outside."""
+        return self._index.get(p)
 
     def _validate(self):
         pts = self.points
@@ -120,29 +147,64 @@ class MetricSpacePresentation:
         """Bit offset_n + j is set iff d(p, k_j) < 2^-exponents[n], with
         k_j the j-th point of K_n and offset_n the size of the earlier
         pieces.  Points outside the space are not kept."""
-        table = self._tables.get(p)
+        i = self._index.get(p)
+        table = self._tables[i] if i is not None else None
         if table is None:
             table = self._level_table(p)
-            if p in self._tables:
-                self._tables[p] = table
+            if i is not None:
+                self._tables[i] = table
         row = 0
         for (levels, rows, offset), a in zip(table, exponents):
             row |= rows[bisect_left(levels, a)] << offset
         return row
 
+    def cover_rows(self, balls) -> list:
+        """Per point, in `points` order, the bitmask of the open balls
+        that hold it: bit j is set iff d(x, p_j) < r_j, for balls the
+        list of (p_j, r_j)."""
+        if self._line is None:
+            return [_ball_bits(self._dist, x, balls) for x in self.points]
+        # On the line B(p, r) is the run of sorted points in (p - r, p + r):
+        # toggle bit j where the run starts and where it ends, and sweep.
+        order, keys = self._line
+        marks = [0] * (len(keys) + 1)
+        for j, (p, r) in enumerate(balls):
+            marks[bisect_right(keys, p - r)] ^= 1 << j
+            marks[bisect_left(keys, p + r)] ^= 1 << j
+        rows = [0] * len(keys)
+        row = 0
+        for i, mark in zip(order, marks):
+            row ^= mark
+            rows[i] = row
+        return rows
+
+
+def _line_dist(x, y):
+    return abs(x - y)
+
+
+def _ball_bits(dist, x, balls):
+    """The bitmask of the balls (p_j, r_j) with d(x, p_j) < r_j."""
+    return sum(1 << j for j, (p, r) in enumerate(balls) if dist(x, p) < r)
+
 
 def convergent_sequence(n_max: int, decomposition=None) -> MetricSpacePresentation:
     """{0} u {1/n : n <= n_max} with the absolute-value metric."""
+    name = f"convergent_sequence({n_max})"
+    _check_size(n_max + 1, name)
     points = [Fraction(0)] + [Fraction(1, n) for n in range(1, n_max + 1)]
     if decomposition is None:
         decomposition = [frozenset({Fraction(0)})]
-    return MetricSpacePresentation(
-        points, lambda x, y: abs(x - y), decomposition,
-        name=f"convergent_sequence({n_max})", validate=False)
+    return MetricSpacePresentation(points, None, decomposition, name=name,
+                                   validate=False)
 
 
 def metric_fan(spokes: int, depth: int) -> MetricSpacePresentation:
-    """A finite fan: `spokes` sequences 1/k marching into a common center."""
+    """A finite fan: `spokes` sequences 1/k marching into a common center.
+
+    The center is "c" and the k-th point of spoke s is (s, k)."""
+    name = f"metric_fan({spokes},{depth})"
+    _check_size(spokes * depth + 1, name)
     center = "c"
     points = [center] + [(s, k) for s in range(spokes)
                          for k in range(1, depth + 1)]
@@ -158,9 +220,8 @@ def metric_fan(spokes: int, depth: int) -> MetricSpacePresentation:
             return abs(Fraction(1, x[1]) - Fraction(1, y[1]))
         return Fraction(1, x[1]) + Fraction(1, y[1])
 
-    return MetricSpacePresentation(
-        points, dist, [frozenset({center})],
-        name=f"metric_fan({spokes},{depth})", validate=True)
+    return MetricSpacePresentation(points, dist, [frozenset({center})],
+                                   name=name, validate=True)
 
 
 def finite_table_space(points, table, decomposition) -> MetricSpacePresentation:
@@ -188,7 +249,9 @@ class Entourage:
 
     `row(x)` is the bitmask of the squares that hold x, so (x, y) is a
     member iff row(x) & row(y) != 0; a reflexive class also holds the
-    whole diagonal, points outside every square included.
+    whole diagonal, points outside every square included.  `rows(space)`
+    lists the rows of `space.points` in order, and `pairs` and the audit
+    test members by position.
     """
 
     __slots__ = ()
@@ -197,25 +260,30 @@ class Entourage:
     def row(self, x) -> int:
         raise NotImplementedError
 
+    def rows(self, space: MetricSpacePresentation) -> list:
+        return [self.row(x) for x in space.points]
+
     def contains(self, x, y) -> bool:
         return self.row(x) & self.row(y) != 0 or (self.reflexive and x == y)
 
-    def pairs(self, space: MetricSpacePresentation):
-        rows = [(x, self.row(x)) for x in space.points]
+    def _member_positions(self, space: MetricSpacePresentation):
+        """The (i, j) with (points[i], points[j]) a member, row by row."""
+        rows = self.rows(space)
         diagonal = self.reflexive
-        for x, rx in rows:
-            for y, ry in rows:
-                if rx & ry or (diagonal and x == y):
-                    yield (x, y)
+        for i, ri in enumerate(rows):
+            for j, rj in enumerate(rows):
+                if ri & rj or (diagonal and i == j):
+                    yield i, j
+
+    def pairs(self, space: MetricSpacePresentation):
+        points = space.points
+        for i, j in self._member_positions(space):
+            yield points[i], points[j]
 
     def check_axioms(self, space: MetricSpacePresentation) -> bool:
-        for x in space.points:
-            if not self.contains(x, x):
-                return False
-            for y in space.points:
-                if self.contains(x, y) != self.contains(y, x):
-                    return False
-        return True
+        """Reflexive on the space (symmetry holds by the rows' AND): every
+        point lies in a square unless the class holds the diagonal."""
+        return self.reflexive or all(self.rows(space))
 
 
 def _alpha_values(space, alpha):
@@ -281,8 +349,11 @@ class SpacedDiagonalNeighbourhood(Entourage):
     """Union of open max-metric balls around diagonal points: one square
     B(p, r)^2 per radius, without the diagonal.
 
-    Each point's row is computed on first use and kept, so `radii` must
-    not change afterwards (concurrent first uses compute the same row).
+    Bit j of a row stands for the j-th radius in `radii` order.  The
+    rows of the neighbourhood's own space are filled on first use by
+    `space.cover_rows` and kept as a list in `space.points` order, so
+    `radii` must not change afterwards (concurrent first uses fill the
+    same list); `row` of a point outside that space tests every ball.
     """
 
     __slots__ = ("space", "radii", "_rows")
@@ -293,22 +364,23 @@ class SpacedDiagonalNeighbourhood(Entourage):
         self.radii = {p: Fraction(r) for p, r in radii.items()}
         if any(r <= 0 for r in self.radii.values()):
             raise ValueError("all radii must be strictly positive")
-        known = set(space.points)
         for p in self.radii:
-            if p not in known:
+            if space.position(p) is None:
                 raise ValueError(f"radius given for unknown point {p!r}")
-        self._rows = {}
+        self._rows = None
+
+    def rows(self, space: MetricSpacePresentation) -> list:
+        if space is not self.space:
+            return super().rows(space)
+        if self._rows is None:
+            self._rows = space.cover_rows(list(self.radii.items()))
+        return self._rows
 
     def row(self, x) -> int:
-        row = self._rows.get(x)
-        if row is None:
-            dist = self.space.dist
-            row = 0
-            for i, (p, r) in enumerate(self.radii.items()):
-                if dist(x, p) < r:
-                    row |= 1 << i
-            self._rows[x] = row
-        return row
+        i = self.space.position(x)
+        if i is not None:
+            return self.rows(self.space)[i]
+        return _ball_bits(self.space.dist, x, self.radii.items())
 
 
 @dataclass(frozen=True)
@@ -324,19 +396,34 @@ def base_cofinal_search(space: MetricSpacePresentation,
     """An index sequence alpha with U_alpha u Delta inside the target.
 
     Per compact piece the largest needed radius is the minimum slack of
-    the neighbourhood around K~_n; the returned alpha uses the smallest
-    powers of two below those slacks.
+    the neighbourhood around K~_n, the slack of k being the largest
+    r - d(k, p) over its radii; the returned alpha uses the smallest
+    powers of two below those slacks.  Only the balls that hold k (the
+    set bits of its row) give positive terms, and once the diagonal is
+    covered every k lies in one, so only those are taken.
     """
-    for p in space.points:
-        if not neighbourhood.contains(p, p):
-            return FailureUpTo(-1, Fraction(0))
+    rows = neighbourhood.rows(space)
+    if not all(rows):
+        return FailureUpTo(-1, Fraction(0))
+    balls = list(neighbourhood.radii.items())
+    dist = space.dist
+    best_at = {}  # position of k -> its slack; pieces may share points
     values = []
     for n, part in enumerate(space.decomposition):
         slack = None
         for k in part:
-            best = max(
-                (r - space.dist(k, p) for p, r in neighbourhood.radii.items()),
-                default=Fraction(0))
+            i = space.position(k)
+            best = best_at.get(i)
+            if best is None:
+                row = rows[i]
+                while row:
+                    low = row & -row
+                    p, r = balls[low.bit_length() - 1]
+                    term = r - dist(k, p)
+                    if best is None or term > best:
+                        best = term
+                    row ^= low
+                best_at[i] = best
             slack = best if slack is None else min(slack, best)
         if slack is None or slack <= 0:
             return FailureUpTo(n, slack if slack is not None else Fraction(0))
@@ -349,37 +436,19 @@ def base_cofinal_search(space: MetricSpacePresentation,
 
 
 def audit_entourage_containment(space, entourage: Entourage,
-                                neighbourhood) -> list:
-    """Every representable pair of the entourage must pass the target."""
-    return [(x, y) for x, y in entourage.pairs(space)
-            if not neighbourhood.contains(x, y)]
+                                neighbourhood: Entourage) -> list:
+    """The pairs of the entourage over `space` that the target misses.
 
-
-def composition_search(space, alpha, sample_triples=None, max_bump: int = 8):
-    """alpha'' with U_{alpha''} o U_{alpha''} inside U_alpha on samples."""
-    base_vals = _alpha_values(space, alpha)
-    target = UAlphaEntourage(space, alpha)
-    if sample_triples is None:
-        pts = space.points
-        sample_triples = [(x, y, z) for x in pts for y in pts for z in pts] \
-            if len(pts) ** 3 <= 8000 else None
-    if sample_triples is None:
-        rng = random.Random(1)
-        pts = space.points
-        sample_triples = [(rng.choice(pts), rng.choice(pts), rng.choice(pts))
-                          for _ in range(4000)]
-    for bump in range(1, max_bump + 1):
-        cand = FnSeq(tuple(v + bump for v in base_vals),
-                     max(base_vals) + bump if base_vals else bump)
-        u = UAlphaEntourage(space, cand)
-        ok = True
-        for x, y, z in sample_triples:
-            if u.contains(x, y) and u.contains(y, z) and not target.contains(x, z):
-                ok = False
-                break
-        if ok:
-            return cand
-    return None
+    Every member (x, y) of the entourage, in row order, is replayed
+    against the neighbourhood's rows by position: it passes iff the two
+    target rows share a bit, or x is y and the target is reflexive.
+    """
+    points = space.points
+    target = neighbourhood.rows(space)
+    diagonal = neighbourhood.reflexive
+    return [(points[i], points[j])
+            for i, j in entourage._member_positions(space)
+            if not (target[i] & target[j] or (diagonal and i == j))]
 
 
 # --- countable spaces: coalescing per-point bases ------------------------------
@@ -389,18 +458,18 @@ def principal_base(x):
     return lambda index: frozenset({x})
 
 
-def tail_base(space: MetricSpacePresentation):
-    """Base map of the limit 0 in the convergent sequence: tails from k.
+def tail_base(space: MetricSpacePresentation, limit=Fraction(0)):
+    """Base map of a limit point: index k gives the closed ball of
+    radius 1/k around it, the tail from k of the convergent sequence
+    around 0, or of every spoke of a fan around "c".
 
     The index enters through its first coordinate.
     """
-    zero = Fraction(0)
-    pts = sorted((p for p in space.points if p != zero), reverse=True)
+    reach = [(space.dist(limit, p), p) for p in space.points]
 
     def base(index: FnSeq):
-        k = index.get(0)
-        members = {zero} | {p for p in pts if p <= Fraction(1, max(k, 1))}
-        return frozenset(members)
+        bound = Fraction(1, max(index.get(0), 1))
+        return frozenset(p for d, p in reach if d <= bound)
 
     return base
 
@@ -421,16 +490,6 @@ class UnionSquaresEntourage(Entourage):
 
     def row(self, x) -> int:
         return self._rows.get(x, 0)
-
-
-class ExplicitEntourage(UnionSquaresEntourage):
-    """The diagonal plus the square {x, y}^2 of every listed pair."""
-
-    __slots__ = ()
-    reflexive = True
-
-    def __init__(self, pairs):
-        super().__init__({x, y} for x, y in pairs)
 
 
 def countable_base(space: MetricSpacePresentation, point_bases,

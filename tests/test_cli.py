@@ -9,7 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ordtop.cli import main
 from ordtop.exact_field import MAX_POWER_BITS
 from ordtop.expr import MAX_DEPTH, MAX_EXPONENT
+from ordtop.order_lab import MAX_AD_DEPTH
 from ordtop.reduced_power import MAX_SETTLE, MAX_TAIL_DEGREE
+from ordtop.uniformity_lab import MAX_POINTS
 
 
 def run(capsys, *argv):
@@ -80,6 +82,10 @@ def _tail(text):
     return json.dumps({"prefix": [], "tail": text})
 
 
+def _u_alpha(space, pair):
+    return json.dumps({"space": space, "alpha": {"values": [1]}, "pair": pair})
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["rp", "compare", _tail("n^200000"), _tail("n")], 2,
      f"error: tail degree 200000 exceeds the cap {MAX_TAIL_DEGREE}\n"),
@@ -105,6 +111,25 @@ def _tail(text):
      f"error: number '1e10000000' has a decimal exponent beyond {MAX_EXPONENT}\n"),
     (["rp", "compare", '{"prefix": [1e400], "tail": "n"}', _tail("n")], 2,
      "error: expected a finite number, got inf\n"),
+    (["uniformity", "u-alpha", _u_alpha(
+        {"kind": "convergent_sequence", "n_max": 3000000}, ["0", "0"])], 2,
+     f"error: convergent_sequence(3000000) has 3000001 points; the cap is {MAX_POINTS}\n"),
+    (["uniformity", "u-alpha", _u_alpha(
+        {"kind": "metric_fan", "spokes": 40, "depth": 40}, ["c", "c"])], 2,
+     f"error: metric_fan(40,40) has 1601 points; the cap is {MAX_POINTS}\n"),
+    (["order", "ad-embed", json.dumps({
+        "branches": [{"preperiod": "", "period": "0"}], "s": [0], "t": [0],
+        "depth": 8000})], 2,
+     f"error: depth 8000 exceeds the cap {MAX_AD_DEPTH}\n"),
+    (["group", "sym-member", "[1]"], 2,
+     "error: expected an object holding 'generators', got list\n"),
+    (["matrix", "mul", "[1]"], 2, "error: expected an object holding 'a', got list\n"),
+    (["rp", "compare", '{"prefix": 5, "tail": "n"}', _tail("n")], 2,
+     "error: sequence prefix must be an array, got int\n"),
+    (["group", "sym-member", '{"sets": 5, "word": "a"}'], 2,
+     "error: 'sets' must be an array, got int\n"),
+    (["order", "check-map", "[1]"], 2, "error: the payload must be an object, got list\n"),
+    (["rp", "baire", "[1]"], 2, "error: expected an object holding 'ball', got list\n"),
 ])
 def test_bounded_inputs_and_exit_codes(capsys, argv, code, message):
     start = time.perf_counter()
@@ -311,6 +336,38 @@ def test_uniformity_verbs(capsys):
     })
     code, out, _ = run(capsys, "uniformity", "countable-base", payload)
     assert code == 0 and out.strip() == "member"
+
+
+def test_uniformity_verbs_on_a_fan(capsys):
+    fan = {"kind": "metric_fan", "spokes": 3, "depth": 4}
+
+    def u_alpha(alpha, pair):
+        return run(capsys, "uniformity", "u-alpha", json.dumps(
+            {"space": fan, "alpha": {"values": [alpha]}, "pair": pair}))
+
+    def countable(f_limit, pair):
+        return run(capsys, "uniformity", "countable-base", json.dumps(
+            {"space": fan, "f_limit": f_limit, "pair": pair}))
+
+    # max(d((0,3), c), d((1,4), c)) = 1/3 against the radius 2^-alpha
+    assert u_alpha(1, [[0, 3], [1, 4]]) == (0, "member\n", "")
+    assert u_alpha(2, [[0, 3], [1, 4]]) == (0, "outside\n", "")
+    assert u_alpha(5, ["c", "c"]) == (0, "member\n", "")
+    # the center's tail base of index 3 is the closed 1/3-ball around "c"
+    assert countable(3, [[0, 3], [2, 4]]) == (0, "member\n", "")
+    assert countable(3, [[0, 2], [2, 4]]) == (0, "outside\n", "")
+    assert countable(3, [[0, 2], [0, 2]]) == (0, "member\n", "")
+    for pair, message in [
+            (["0", "0"], 'error: a metric_fan point is "c" or [spoke, k], got "0"\n'),
+            ([[0, 1], [0, 2, 3]],
+             'error: a metric_fan point is "c" or [spoke, k], got [0, 2, 3]\n'),
+            (["c", [3, 1]], "error: [3, 1] is not a point of metric_fan(3,4)\n"),
+            (["c"], 'error: "pair" must name two points, got 1\n')]:
+        assert u_alpha(1, pair) == (2, "", message)
+        assert countable(1, pair) == (2, "", message)
+    code, _, err = run(capsys, "uniformity", "u-alpha", _u_alpha(
+        {"kind": "convergent_sequence", "n_max": 8}, ["0", "1/9"]))
+    assert (code, err) == (2, 'error: "1/9" is not a point of convergent_sequence(8)\n')
 
 
 def test_payload_rule(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from ordtop.order_lab import FnSeq
 from ordtop.uniformity_lab import (
-    ExplicitEntourage,
+    MAX_POINTS,
     FailureUpTo,
     MetricSpacePresentation,
     SpacedDiagonalNeighbourhood,
@@ -15,7 +15,6 @@ from ordtop.uniformity_lab import (
     audit_entourage_containment,
     base_cofinal_search,
     base_monotone_check,
-    composition_search,
     convergent_sequence,
     countable_base,
     finite_table_space,
@@ -30,6 +29,16 @@ F = Fraction
 
 def small_space():
     return convergent_sequence(16)
+
+
+def test_space_sizes_are_capped():
+    assert len(convergent_sequence(MAX_POINTS - 1).points) == MAX_POINTS
+    with pytest.raises(ValueError, match="cap"):
+        convergent_sequence(MAX_POINTS)
+    with pytest.raises(ValueError, match="cap"):
+        metric_fan(10, 10 + 1)
+    with pytest.raises(ValueError, match="distinct"):
+        MetricSpacePresentation([F(1), F(1)], None, [])
 
 
 def test_space_construction():
@@ -81,8 +90,10 @@ def test_entourage_axioms():
     space = small_space()
     u = UAlphaEntourage(space, FnSeq((2,), 2))
     assert u.check_axioms(space)
-    e = ExplicitEntourage([(F(1), F(1, 2))])
-    assert e.check_axioms(space)
+    # a union of balls is reflexive only where its balls cover the diagonal
+    assert not SpacedDiagonalNeighbourhood(space, {F(1): F(1, 1000)}).check_axioms(space)
+    assert SpacedDiagonalNeighbourhood(
+        space, {p: F(1, 1000) for p in space.points}).check_axioms(space)
 
 
 def test_base_monotone():
@@ -138,20 +149,6 @@ def test_random_cofinal_searches_audit_clean():
         assert isinstance(alpha, FnSeq)
         u = UAlphaEntourage(space, alpha)
         assert audit_entourage_containment(space, u, target) == []
-
-
-def test_composition_search():
-    space = small_space()
-    alpha = FnSeq((2,), 2)
-    better = composition_search(space, alpha)
-    assert better is not None
-    u_half = UAlphaEntourage(space, better)
-    u = UAlphaEntourage(space, alpha)
-    for x in space.points:
-        for y in space.points:
-            for z in space.points:
-                if u_half.contains(x, y) and u_half.contains(y, z):
-                    assert u.contains(x, z)
 
 
 def test_countable_base_one_point():
@@ -253,6 +250,99 @@ def test_union_squares_rows():
     assert list(u.pairs(space)) == [
         (x, y) for x in space.points for y in space.points
         if any(x in b and y in b for b in blocks)]
-    e = ExplicitEntourage([(F(1), F(1, 2)), (F(1, 2), F(1, 3))])
-    assert e.contains(F(1, 3), F(1, 2)) and not e.contains(F(1), F(1, 3))
-    assert e.contains(F(1, 5), F(1, 5)) and e.contains("q", "q")
+
+
+# --- position rows against a pair-by-pair reference ----------------------------
+
+def _reference_cofinal(space, dist, radii):
+    """base_cofinal_search by its definition: the full max over all radii."""
+    if not all(any(dist[x][p] < r for p, r in radii.items()) for x in space.points):
+        return FailureUpTo(-1, F(0))
+    values = []
+    for n, part in enumerate(space.decomposition):
+        slacks = [max((r - dist[k][p] for p, r in radii.items()), default=F(0))
+                  for k in part]
+        slack = min(slacks, default=F(0))
+        if slack <= 0:
+            return FailureUpTo(n, slack)
+        a = 0
+        while F(1, 2 ** a) > slack:
+            a += 1
+        values.append(a)
+    return FnSeq(tuple(values), max(values, default=0))
+
+
+@pytest.mark.parametrize("space", [
+    convergent_sequence(40, decomposition=[
+        frozenset({F(0)}), frozenset({F(0), F(1, 2), F(1, 5)}),
+        frozenset({F(0)} | {F(1, j) for j in range(1, 11)})]),
+    MetricSpacePresentation(
+        metric_fan(4, 5).points, metric_fan(4, 5).dist,
+        [frozenset({"c"}), frozenset({"c", (0, 1), (2, 3)}), frozenset()],
+        name="fan"),
+])
+def test_rows_audit_and_search_match_pairwise_reference(space):
+    points = space.points
+    dist = {x: {y: space.dist(x, y) for y in points} for x in points}
+    rng = random.Random(11)
+
+    def u_member(alpha):
+        radius = [F(1, 2 ** alpha.get(n)) for n in range(len(space.decomposition))]
+        return lambda x, y: x == y or any(
+            min(max(dist[x][k], dist[y][k]) for k in part) < r
+            for part, r in zip(space.decomposition, radius) if part)
+
+    failures = set()
+    violations = 0
+    for trial in range(5):
+        if trial == 0:  # balls that hold only their centres, and no ball at points[0]
+            radii = {p: F(1, 2000) for p in points[1:]}
+        elif trial % 2:
+            radii = {p: F(1, rng.randint(1, 40)) for p in points}
+        else:  # wide and narrow balls, some points without one
+            radii = {p: F(rng.randint(1, 3), rng.choice([2, 3, 5, 8, 100, 400]))
+                     for p in points if rng.random() < 0.9}
+        target = SpacedDiagonalNeighbourhood(space, radii)
+        assert target.rows(space) == [
+            sum(1 << j for j, (p, r) in enumerate(radii.items()) if dist[x][p] < r)
+            for x in points]
+        near = [(x, y) for x in points for y in points
+                if any(max(dist[x][p], dist[y][p]) < r for p, r in radii.items())]
+        assert list(target.pairs(space)) == near
+        near = set(near)
+        assert all(target.contains(x, y) == ((x, y) in near)
+                   for x in points for y in points)
+        alpha = base_cofinal_search(space, target)
+        assert alpha == _reference_cofinal(space, dist, radii)
+        if isinstance(alpha, FailureUpTo):
+            failures.add(alpha.piece)
+            alpha = FnSeq((), trial % 3)  # audit a coarse U_alpha instead
+        u, member = UAlphaEntourage(space, alpha), u_member(alpha)
+        assert list(u.pairs(space)) == [
+            (x, y) for x in points for y in points if member(x, y)]
+        want = [(x, y) for x in points for y in points
+                if (x, y) not in near and member(x, y)]
+        assert audit_entourage_containment(space, u, target) == want
+        violations += len(want)
+        # a reflexive target: the diagonal passes whatever the rows say
+        finer = FnSeq((), alpha.tail + 2)
+        inside = u_member(finer)
+        assert audit_entourage_containment(space, u, UAlphaEntourage(space, finer)) == [
+            (x, y) for x in points for y in points if member(x, y) and not inside(x, y)]
+    # the search fails on an uncovered diagonal (and on the fan's empty
+    # piece), and a coarse entourage escapes its target
+    assert -1 in failures and violations > 0
+
+
+def test_cofinal_search_takes_the_best_ball_of_each_point():
+    # the wide ball around 1/2 gives k = 0 only 123/200 - 1/2 = 23/200;
+    # the narrower ball around 0 itself gives 1/8, so alpha(0) = 3
+    space = convergent_sequence(8)
+    radii = {p: F(1, 1000) for p in space.points}
+    radii[F(0)] = F(1, 8)
+    radii[F(1, 2)] = F(123, 200)
+    target = SpacedDiagonalNeighbourhood(space, radii)
+    assert base_cofinal_search(space, target) == FnSeq((3,), 3)
+    radii[F(0)] = F(1, 1000)
+    target = SpacedDiagonalNeighbourhood(space, radii)
+    assert base_cofinal_search(space, target) == FnSeq((4,), 4)
