@@ -49,7 +49,7 @@ def _operand(args, i: int):
 
 _MISSING = object()
 _KIND_NAMES = {dict: "an object", list: "an array", str: "a string",
-               int: "an integer", bool: "true or false"}
+               int: "an integer", bool: "true or false", (int, float): "a number"}
 
 
 def _checked(value, kind, what):
@@ -60,17 +60,26 @@ def _checked(value, kind, what):
     return value
 
 
-def _field(data, key, kind, default=_MISSING):
+def _field(data, key, kind, default=_MISSING, verb=None):
     """data[key] checked by `_checked`, or `default` if the key is absent
-    and a default is given."""
+    and a default is given; a `verb` leads each message."""
+    lead = f"{verb}: " if verb else ""
     if not isinstance(data, dict):
-        raise ValueError(f"expected an object holding {key!r}, "
+        raise ValueError(f"{lead}expected an object holding {key!r}, "
                          f"got {type(data).__name__}")
     if key not in data:
         if default is _MISSING:
-            raise ValueError(f"missing {key!r}")
+            raise ValueError(f"{lead}missing {key!r}")
         return default
-    return _checked(data[key], kind, repr(key))
+    return _checked(data[key], kind, f"{lead}{key!r}")
+
+
+def _items(data, key, kind, verb, default=_MISSING):
+    """data[key] as by `_field`, an array whose items are each a `kind`."""
+    items = _field(data, key, list, default, verb)
+    for item in items:
+        _checked(item, kind, f"{verb}: each item of {key!r}")
+    return items
 
 
 def _emit(args, data, plain=None):
@@ -206,7 +215,8 @@ def cmd_group(args):
                   f"NoUpTo({res.horizon})")
     elif args.action == "vphi":
         phi = gt.PhiMap(
-            gt.SubsetSpec.from_texts(group, payload["default"]),
+            gt.SubsetSpec.from_texts(
+                group, _items(payload, "default", str, "group vphi")),
             {group.parse(k): gt.SubsetSpec.from_texts(group, v)
              for k, v in payload.get("exceptions", {}).items()})
         support = [group.parse(t) for t in payload.get("support", ["e"])]
@@ -214,8 +224,11 @@ def cmd_group(args):
         words = sorted(group.format(w) for w in out.words)
         _emit(args, {"words": words}, ", ".join(words) or "e")
     elif args.action == "iofv":
+        pairs = _items(payload, "pairs", list, "group iofv")
+        if any(len(p) != 2 for p in pairs):
+            raise ValueError("group iofv: each item of 'pairs' must hold two points")
         group_out, spec = gt.i_of_entourage(
-            [tuple(p) for p in payload["pairs"]],
+            [tuple(p) for p in pairs],
             abelian=payload.get("abelian", False))
         words = sorted(group_out.format(w) for w in spec.words)
         _emit(args, {"words": words}, ", ".join(words))
@@ -235,11 +248,20 @@ def _poset_from(data) -> ol.FinitePoset:
     return ol.FinitePoset(elements, le)
 
 
+def _branch_indices(payload, key, count):
+    indices = _items(payload, key, int, "order ad-embed")
+    for i in indices:
+        if not 0 <= i < count:
+            raise ValueError(f"order ad-embed: {key!r} names branch {i}, "
+                             f"outside 0..{count - 1}")
+    return indices
+
+
 def cmd_order(args):
     payload = _checked(_read_payload(_operand(args, 0)), dict, "the payload")
     if args.action == "check-map":
-        d = _poset_from(payload["domain"])
-        e = _poset_from(payload["codomain"])
+        d = _poset_from(_field(payload, "domain", dict, verb="order check-map"))
+        e = _poset_from(_field(payload, "codomain", dict, verb="order check-map"))
         f = {k: _element_from(v) for k, v in payload["map"].items()}
         mono = ol.check_monotone(f, d, e)
         cof = ol.check_cofinal(f, d, e)
@@ -249,8 +271,8 @@ def cmd_order(args):
         branches = [ol.Branch(b["preperiod"], b["period"])
                     for b in payload["branches"]]
         depth = payload.get("depth") or ol.disambiguation_depth(branches)
-        s = [branches[i] for i in payload["s"]]
-        t = [branches[i] for i in payload["t"]]
+        s, t = ([branches[i] for i in _branch_indices(payload, key, len(branches))]
+                for key in ("s", "t"))
         le = ol.ad_join(s, depth).le(ol.ad_join(t, depth))
         subset = ol.branch_subset(s, t)
         _emit(args, {"join_le": le, "branch_subset": subset, "depth": depth},
@@ -270,8 +292,8 @@ def cmd_order(args):
     elif args.action == "box":
         f = ol.FnSeq(tuple(payload["f"]["values"]),
                      payload["f"].get("tail", 1))
-        vector = {int(k): expr.number(v)
-                  for k, v in payload["vector"].items()}
+        vector = {int(k): expr.number(v) for k, v in
+                  _field(payload, "vector", dict, verb="order box").items()}
         member = ol.box_nbhd(f).contains(vector)
         _emit(args, {"member": member}, "member" if member else "outside")
     return 0
@@ -336,7 +358,8 @@ def _pair_from(payload, kind, space):
 
 
 def _alpha_from(data) -> ol.FnSeq:
-    return ol.FnSeq(tuple(_field(data, "values", list)), _field(data, "tail", int, 0))
+    return ol.FnSeq(tuple(_items(data, "values", int, "uniformity u-alpha")),
+                    _field(data, "tail", int, 0))
 
 
 def cmd_uniformity(args):
@@ -408,15 +431,19 @@ def cmd_suite(args):
     return 0 if result.ok else 1
 
 
+_REPORT_FIELDS = {"suite": str, "seed": int, "scale": (int, float),
+                  "cases": int, "failures": list}
+
+
 def cmd_report(args):
     from .suites import SuiteReport
 
     reports = []
     for path in args.inputs:
-        for item in _read_payload(path):
-            reports.append(SuiteReport(
-                suite=item["suite"], seed=item["seed"], scale=item["scale"],
-                cases=item["cases"], failures=item["failures"]))
+        for item in _checked(_read_payload(path), list, f"report: {path}"):
+            reports.append(SuiteReport(**{
+                key: _field(item, key, kind, verb="report")
+                for key, kind in _REPORT_FIELDS.items()}))
     text = report_mod.emit_report(
         reports,
         json_path=args.out and f"{args.out}/report.json",

@@ -5,12 +5,16 @@ by everything before it, so the sign of a polynomial is the sign of the
 coefficient sitting on its dominant monomial, and a quotient takes the
 product of the signs.  Elements are kept canonical: numerator and
 denominator share no polynomial factor and the denominator's dominant
-coefficient is one.  No floating point is involved anywhere.
+coefficient is one.  Negation and inversion keep a pair coprime, so they
+rebuild the canonical form without a gcd, and `compare` reads most
+answers off the dominant terms alone.  No floating point is involved
+anywhere.
 """
 
 from fractions import Fraction
 from functools import total_ordering
 from math import lcm
+from operator import add
 
 from . import expr
 from . import polynomials as P
@@ -105,6 +109,17 @@ class FieldElement:
         self.height = height
         self._hash = None
 
+    @classmethod
+    def _canonical(cls, num: P.Poly, den: P.Poly, height: int) -> "FieldElement":
+        """An element from a pair that is already canonical at this height
+        and within the caps: no gcd, no rescaling, no cap check."""
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        self.height = height
+        self._hash = None
+        return self
+
     # -- construction ------------------------------------------------
 
     @classmethod
@@ -155,7 +170,7 @@ class FieldElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(P.p_neg(self.num), self.den, self.height)
+        return FieldElement._canonical(P.p_neg(self.num), self.den, self.height)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -182,7 +197,15 @@ class FieldElement:
     def invert(self) -> "FieldElement":
         if not self.num:
             raise ZeroDivisionError("cannot invert zero")
-        return FieldElement(self.den, self.num, self.height)
+        # The swapped pair is still coprime, of the same height and
+        # degrees; only the new denominator needs its dominant
+        # coefficient scaled to one.
+        c = P.dominant_coeff(self.num)
+        if c == 1:
+            return FieldElement._canonical(self.den, self.num, self.height)
+        r = 1 / c
+        return FieldElement._canonical(P.p_scale(self.den, r),
+                                       P.p_scale(self.num, r), self.height)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -291,13 +314,44 @@ def check_power(n: int, num, den) -> None:
 
 
 def compare(a: FieldElement, b: FieldElement) -> str:
-    """Total order of the tower: the sign of a - b, without normalizing."""
+    """Total order of the tower: the sign of a - b.
+
+    Equal canonical forms are EQ.  Otherwise the sign is that of
+    an * bd - bn * ad.  Dominance is a monomial order, so the dominant
+    term of each cross product is the product of its factors' dominant
+    terms, and the denominators' dominant coefficients are one: unless
+    the two dominant terms coincide, they decide the sign without a
+    product.  Only a tie forms the full cross products.
+    """
     a = FieldElement._coerce(a)
     b = FieldElement._coerce(b)
-    an, ad, bn, bd, _ = a._align(b)
-    diff = P.p_sub(P.p_mul(an, bd), P.p_mul(bn, ad))
-    s = P.sign_of(diff)
-    return EQ if s == 0 else (LT if s < 0 else GT)
+    if a == b:
+        return EQ
+    if not a.num or not b.num:
+        s = P.sign_of(a.num) or -P.sign_of(b.num)
+        return LT if s < 0 else GT
+    h = max(a.height, b.height)
+    e1 = _dominant_product(a.num, b.den, h)
+    e2 = _dominant_product(b.num, a.den, h)
+    c1 = P.dominant_coeff(a.num)
+    c2 = P.dominant_coeff(b.num)
+    if e1 != e2:
+        s = c1 if P.more_dominant(e1, e2) else -c2
+    elif c1 != c2:
+        s = c1 - c2
+    else:
+        # Distinct canonical forms are distinct values, so s != 0.
+        an, ad, bn, bd, _ = a._align(b)
+        s = P.sign_of(P.p_sub(P.p_mul(an, bd), P.p_mul(bn, ad)))
+    return LT if s < 0 else GT
+
+
+def _dominant_product(p: P.Poly, q: P.Poly, width: int) -> P.Term:
+    """The dominant exponent of p * q, at `width` variables."""
+    z = (0,) * width
+    e = P.dominant_exp(p)
+    f = P.dominant_exp(q)
+    return tuple(map(add, e + z[len(e):], f + z[len(f):]))
 
 
 def sign(a: FieldElement) -> int:

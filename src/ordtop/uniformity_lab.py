@@ -17,18 +17,23 @@ entourage against another are bit tests on positions, with no lookup
 by point.
 """
 
-import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .order_lab import FnSeq
 
-TRIANGLE_SAMPLES = 20000  # seeded triples checked when a space has more
 # The most points a space may have: convergent_sequence(100), the largest
-# space that the suites, tests and benchmark build.  metric_fan validates
-# pair by pair, so its time grows with the square of this.
+# space that the suites, tests and benchmark build.  Fans and tables are
+# validated on every triple, so their time grows with the cube of this.
 MAX_POINTS = 101
+# The most bits of the common denominator over which a validated space's
+# distances are checked as ints: lcm(1..100), which bounds every
+# metric_fan within MAX_POINTS (its distances' denominators divide
+# lcm(1..depth)), takes 136.
+MAX_SCALE_BITS = 136
 
 
 def _level(d):
@@ -94,28 +99,34 @@ class MetricSpacePresentation:
         return self._index.get(p)
 
     def _validate(self):
+        """The metric axioms on every pair and every triple: distances
+        are scaled to ints over their common denominator, so that the
+        triangles through x and z are one sum of two int rows."""
         pts = self.points
-        for x in pts:
-            if self.dist(x, x) != 0:
-                raise ValueError(f"d({x!r}, {x!r}) must be 0")
+        rows = [[self.dist(x, y) for y in pts] for x in pts]
+        scale = 1
         for i, x in enumerate(pts):
-            for y in pts[i + 1:]:
-                d = self.dist(x, y)
+            if rows[i][i] != 0:
+                raise ValueError(f"d({x!r}, {x!r}) must be 0")
+            for k in range(i + 1, len(pts)):
+                d = rows[i][k]
                 if d <= 0:
-                    raise ValueError(f"d({x!r}, {y!r}) must be positive")
-                if d != self.dist(y, x):
-                    raise ValueError(f"metric is not symmetric on {x!r}, {y!r}")
-        n = len(pts)
-        if n ** 3 <= TRIANGLE_SAMPLES:
-            triples = ((x, y, z) for x in pts for y in pts for z in pts)
-        else:
-            rng = random.Random(0)
-            triples = ((rng.choice(pts), rng.choice(pts), rng.choice(pts))
-                       for _ in range(TRIANGLE_SAMPLES))
-        for x, y, z in triples:
-            if self.dist(x, z) > self.dist(x, y) + self.dist(y, z):
-                raise ValueError(
-                    f"triangle inequality fails on {x!r}, {y!r}, {z!r}")
+                    raise ValueError(f"d({x!r}, {pts[k]!r}) must be positive")
+                if d != rows[k][i]:
+                    raise ValueError(f"metric is not symmetric on {x!r}, {pts[k]!r}")
+                scale = lcm(scale, d.denominator)
+                if scale.bit_length() > MAX_SCALE_BITS:
+                    raise ValueError(
+                        f"the distances of {self.name} have a common "
+                        f"denominator beyond the cap of {MAX_SCALE_BITS} bits")
+        rows = [[d.numerator * (scale // d.denominator) for d in row] for row in rows]
+        for i, row in enumerate(rows):
+            for k in range(i + 1, len(pts)):
+                if row[k] > min(map(add, row, rows[k])):
+                    sums = list(map(add, row, rows[k]))
+                    y = pts[sums.index(min(sums))]
+                    raise ValueError(
+                        f"triangle inequality fails on {pts[i]!r}, {y!r}, {pts[k]!r}")
 
     def distance_to_diagonal_compact(self, x, y, n: int) -> Fraction:
         """Distance from (x, y) to K~_n = {(k, k) : k in K_n}."""

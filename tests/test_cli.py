@@ -11,7 +11,7 @@ from ordtop.exact_field import MAX_POWER_BITS
 from ordtop.expr import MAX_DEPTH, MAX_EXPONENT
 from ordtop.order_lab import MAX_AD_DEPTH
 from ordtop.reduced_power import MAX_SETTLE, MAX_TAIL_DEGREE
-from ordtop.uniformity_lab import MAX_POINTS
+from ordtop.uniformity_lab import MAX_POINTS, MAX_SCALE_BITS
 
 
 def run(capsys, *argv):
@@ -82,8 +82,22 @@ def _tail(text):
     return json.dumps({"prefix": [], "tail": text})
 
 
-def _u_alpha(space, pair):
-    return json.dumps({"space": space, "alpha": {"values": [1]}, "pair": pair})
+def _u_alpha(space, pair, values=(1,)):
+    return json.dumps({"space": space, "alpha": {"values": list(values)}, "pair": pair})
+
+
+def _table(n, distances=()):
+    """A table space of n points at distance 3/2 but for `distances`."""
+    points = [f"p{i}" for i in range(n)]
+    table = {f"{x}|{y}": "3/2" for i, x in enumerate(points) for y in points[i + 1:]}
+    table.update(distances)
+    return {"kind": "table", "points": points, "distances": table,
+            "decomposition": [["p0"]]}
+
+
+_BROKEN = {"p0|p1": "2", "p0|p2": "9/10", "p1|p2": "9/10"}  # fails at one triangle
+_SEQ = {"kind": "convergent_sequence", "n_max": 10}
+_BRANCH = {"preperiod": "", "period": "0"}
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -130,6 +144,27 @@ def _u_alpha(space, pair):
      "error: 'sets' must be an array, got int\n"),
     (["order", "check-map", "[1]"], 2, "error: the payload must be an object, got list\n"),
     (["rp", "baire", "[1]"], 2, "error: expected an object holding 'ball', got list\n"),
+    (["uniformity", "u-alpha", _u_alpha(_table(60, _BROKEN), ["p0", "p1"])], 2,
+     "error: triangle inequality fails on 'p0', 'p2', 'p1'\n"),
+    (["uniformity", "u-alpha", _u_alpha(_table(MAX_POINTS, _BROKEN), ["p0", "p1"])], 2,
+     "error: triangle inequality fails on 'p0', 'p2', 'p1'\n"),
+    (["uniformity", "u-alpha", _u_alpha(
+        _table(3, {"p0|p1": f"1/{2 ** MAX_SCALE_BITS}"}), ["p0", "p1"])], 2,
+     f"error: the distances of table have a common denominator beyond the cap "
+     f"of {MAX_SCALE_BITS} bits\n"),
+    (["uniformity", "u-alpha", _u_alpha(_SEQ, ["0", "0"], [[1]])], 2,
+     "error: uniformity u-alpha: each item of 'values' must be an integer, got list\n"),
+    (["group", "vphi", '{"default": 5}'], 2,
+     "error: group vphi: 'default' must be an array, got int\n"),
+    (["group", "iofv", '{"pairs": 5}'], 2,
+     "error: group iofv: 'pairs' must be an array, got int\n"),
+    (["order", "box", '{"f": {"values": [1]}, "vector": [1]}'], 2,
+     "error: order box: 'vector' must be an object, got list\n"),
+    (["order", "check-map", '{"domain": [[1]]}'], 2,
+     "error: order check-map: 'domain' must be an object, got list\n"),
+    (["order", "ad-embed", json.dumps({"branches": [_BRANCH], "s": [5], "t": [0]})], 2,
+     "error: order ad-embed: 's' names branch 5, outside 0..0\n"),
+    (["report", "[1]"], 2, "error: report: expected an object holding 'suite', got int\n"),
 ])
 def test_bounded_inputs_and_exit_codes(capsys, argv, code, message):
     start = time.perf_counter()
@@ -417,3 +452,10 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-verb"])
     assert exc.value.code == 2
+
+
+def test_report_on_a_file_holding_no_reports(capsys, tmp_path):
+    path = tmp_path / "reports.json"
+    path.write_text("[1]")
+    assert run(capsys, "report", str(path)) == (
+        2, "", "error: report: expected an object holding 'suite', got int\n")

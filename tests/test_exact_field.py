@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from ordtop import polynomials
 from ordtop.exact_field import (
     EQ,
     GT,
@@ -248,3 +249,93 @@ def test_each_variable_infinitesimal_over_lower_tower(x):
 @given(field_elements(height=8))
 def test_format_parse_round_trip(x):
     assert parse_element(format_element(x)) == x
+
+
+# --- dominant-term compare and gcd-free negation and inversion -----------
+
+def _ref_sign_of_cross(a: FieldElement, b: FieldElement) -> int:
+    """Sign of an * bd - bn * ad, from the full products: the coefficient
+    on the monomial whose reversed exponent tuple is smallest."""
+    h = max(a.height, b.height)
+
+    def wide(p):
+        return {e + (0,) * (h - len(e)): c for e, c in p.items()}
+
+    def mul(p, q):
+        out = {}
+        for e, c in wide(p).items():
+            for f, d in wide(q).items():
+                g = tuple(x + y for x, y in zip(e, f))
+                out[g] = out.get(g, 0) + c * d
+        return out
+
+    diff = mul(a.num, b.den)
+    for e, c in mul(b.num, a.den).items():
+        diff[e] = diff.get(e, 0) - c
+    diff = {e: c for e, c in diff.items() if c}
+    if not diff:
+        return 0
+    return 1 if diff[min(diff, key=lambda e: e[::-1])] > 0 else -1
+
+
+@st.composite
+def compare_pairs(draw):
+    a = draw(field_elements(height=3))
+    how = draw(st.sampled_from(["free", "equal", "tie"]))
+    if how == "equal":
+        return a, FieldElement(dict(a.num), dict(a.den), a.height)
+    if how == "free":
+        return a, draw(field_elements(height=3))
+    # b = a + t with t = a * q * a_j^k far below a's dominant term, so the
+    # two cross products share their dominant term
+    q = draw(rationals.filter(bool))
+    t = a * (q * FieldElement.var(draw(st.integers(0, 2))) ** draw(st.integers(1, 3)))
+    return a, a + t
+
+
+def _same(x: FieldElement, y: FieldElement) -> bool:
+    return (x.num, x.den, x.height) == (y.num, y.den, y.height) and all(
+        type(c) is Fraction for c in (*x.num.values(), *x.den.values()))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(compare_pairs())
+# the dominant term of the taller element sits on its innermost variable
+@example((2 * FieldElement.var(2), ONE))
+@example((A0, 3 * A1))
+def test_compare_negate_invert_match_full_forms(ab):
+    a, b = ab
+    s = _ref_sign_of_cross(a, b)
+    assert compare(a, b) == (EQ if s == 0 else (LT if s < 0 else GT))
+    assert compare(b, a) == (EQ if s == 0 else (GT if s < 0 else LT))
+    neg = {e: -v for e, v in a.num.items()}
+    assert _same(-a, FieldElement(neg, a.den, a.height))
+    if not a.is_zero():
+        assert _same(a.invert(), FieldElement(a.den, a.num, a.height))
+    neg_b = {e: -v for e, v in b.num.items()}
+    assert _same(a - b, a + FieldElement(neg_b, b.den, b.height))
+
+
+def test_dominant_terms_decide_without_products_or_gcds(monkeypatch):
+    calls = {"p_mul": 0, "p_gcd": 0}
+
+    def counting(name):
+        real = getattr(polynomials, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    a = parse_element("(3*a0 - a1^2 + 5)/(2*a0*a1 + 7)")  # about 5/7
+    b = parse_element("(3*a0 + a2)/(a0 - 4)")  # about -3*a0/4
+    for name in calls:
+        monkeypatch.setattr(polynomials, name, counting(name))
+    assert (compare(a, b), compare(b, a)) == (GT, LT)
+    assert (compare(a, ZERO), compare(ZERO, b), compare(a, a)) == (GT, GT, EQ)
+    assert calls["p_mul"] == 0
+    inverted, negated = a.invert(), -b
+    assert calls["p_gcd"] == 0
+    monkeypatch.undo()
+    assert inverted * a == ONE and negated + b == ZERO

@@ -7,6 +7,7 @@ import pytest
 from ordtop.order_lab import FnSeq
 from ordtop.uniformity_lab import (
     MAX_POINTS,
+    MAX_SCALE_BITS,
     FailureUpTo,
     MetricSpacePresentation,
     SpacedDiagonalNeighbourhood,
@@ -56,6 +57,34 @@ def test_table_space_validates():
             "abc",
             {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 5},
             [frozenset("a")])
+
+
+def broken_table(n):
+    """All distances 3/2 but d(p0, p1) = 2 > d(p0, p2) + d(p2, p1) = 9/5:
+    one failing triangle among n points."""
+    points = [f"p{i}" for i in range(n)]
+    table = {(x, y): F(3, 2) for i, x in enumerate(points) for y in points[i + 1:]}
+    table.update({("p0", "p1"): F(2), ("p0", "p2"): F(9, 10), ("p1", "p2"): F(9, 10)})
+    return points, table
+
+
+@pytest.mark.parametrize("n", [20, 30, 60, MAX_POINTS])
+def test_every_triangle_of_a_table_is_checked(n):
+    points, table = broken_table(n)
+    with pytest.raises(ValueError, match="triangle inequality fails on 'p0', 'p2', 'p1'"):
+        finite_table_space(points, table, [frozenset()])
+    table[("p0", "p1")] = F(9, 5)  # the triangle now holds with equality
+    assert len(finite_table_space(points, table, [frozenset()]).points) == n
+
+
+def test_common_denominator_is_capped():
+    # metric_fan(1, 100) has every 1/k, k <= 100, so its distances need lcm(1..100)
+    assert len(metric_fan(1, MAX_POINTS - 1).points) == MAX_POINTS
+    assert metric_fan(1, MAX_POINTS - 1).dist((0, 1), (0, 2)) == F(1, 2)
+    table = {("p", "q"): F(1, 2 ** MAX_SCALE_BITS), ("q", "r"): F(1, 3),
+             ("p", "r"): F(1, 2)}
+    with pytest.raises(ValueError, match=f"beyond the cap of {MAX_SCALE_BITS} bits"):
+        finite_table_space("pqr", table, [frozenset()])
 
 
 def test_u_alpha_examples():
