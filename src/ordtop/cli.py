@@ -49,7 +49,8 @@ def _operand(args, i: int):
 
 _MISSING = object()
 _KIND_NAMES = {dict: "an object", list: "an array", str: "a string",
-               int: "an integer", bool: "true or false", (int, float): "a number"}
+               int: "an integer", bool: "true or false", (int, float): "a number",
+               (dict, str): "an object or a string"}
 
 
 def _checked(value, kind, what):
@@ -124,15 +125,14 @@ def cmd_matrix(args):
         return 0
     payload = _read_payload(_operand(args, 0))
     if args.action == "inv":
-        out = mg.mat_inv(mg.matrix_from_data(payload))
-        _emit(args, [[xf.format_element(c) for c in row] for row in out.rows])
+        _emit(args, mg.matrix_to_data(mg.mat_inv(mg.matrix_from_data(payload))))
     elif args.action == "det":
         d = mg.det(mg.matrix_from_data(payload))
         _emit(args, {"det": xf.format_element(d)}, xf.format_element(d))
     elif args.action == "mul":
         out = mg.mat_mul(mg.matrix_from_data(_field(payload, "a", list)),
                          mg.matrix_from_data(_field(payload, "b", list)))
-        _emit(args, [[xf.format_element(c) for c in row] for row in out.rows])
+        _emit(args, mg.matrix_to_data(out))
     elif args.action == "ball":
         eps = xf.parse_element(_field(payload, "eps", str))
         member = mg.ball_member(
@@ -148,6 +148,12 @@ def _seq(data) -> rp.EventualSeq:
     return rp.from_json(data) if isinstance(data, str) else rp.from_data(data)
 
 
+def _ball(data, verb) -> tuple:
+    """The center and radius sequences of a ball object."""
+    return tuple(_seq(_field(data, key, (dict, str), verb=verb))
+                 for key in ("center", "radius"))
+
+
 def cmd_rp(args):
     if args.action == "compare":
         x = _seq(_read_payload(_operand(args, 0)))
@@ -161,19 +167,18 @@ def cmd_rp(args):
         _emit(args, json.loads(rp.to_json(d)), rp.to_json(d))
     elif args.action == "interleave":
         payload = _read_payload(_operand(args, 0))
-        instances = [(_seq(item["center"]), _seq(item["radius"]))
-                     for item in _field(payload, "instances", list)]
-        out = rp.interleave(instances, payload.get("cuts", []))
+        instances = [_ball(item, "rp interleave")
+                     for item in _items(payload, "instances", dict, "rp interleave")]
+        out = rp.interleave(instances, _items(payload, "cuts", int, "rp interleave", []))
         _emit(args, {
             "witness": json.loads(rp.to_json(out.witness)),
             "certified": len(out.certificates),
         }, rp.to_json(out.witness))
     elif args.action == "baire":
         payload = _read_payload(_operand(args, 0))
-        ball = _field(payload, "ball", dict)
-        ball = rp.Ball(_seq(ball["center"]), _seq(ball["radius"]))
-        forbidden = [rp.Ball(_seq(item["center"]), _seq(item["radius"]))
-                     for item in payload.get("forbidden", [])]
+        ball = rp.Ball(*_ball(_field(payload, "ball", dict), "rp baire"))
+        forbidden = [rp.Ball(*_ball(item, "rp baire"))
+                     for item in _items(payload, "forbidden", dict, "rp baire", [])]
         out = rp.baire_witness(ball, forbidden)
         _emit(args, {
             "witness": json.loads(rp.to_json(out.point)),
@@ -201,9 +206,13 @@ def cmd_group(args):
     if args.action == "sym-member":
         sets = [gt.SubsetSpec.from_texts(group, _checked(texts, list, "a set"))
                 for texts in _field(payload, "sets", list)]
-        word = group.parse(payload["word"])
+        # any value: `group.parse` names a word that is not a string
+        word = group.parse(_field(payload, "word", object, verb="group sym-member"))
         res = gt.sym_member(word, sets, _field(payload, "horizon", int, len(sets)))
         if res.is_member:
+            if not gt.verify_certificate(group, word, sets, res):
+                raise RuntimeError(f"group sym-member: the certificate n={res.n} "
+                                   f"sigma={res.sigma} fails its replay")
             _emit(args, {
                 "member": True,
                 "n": res.n,
@@ -217,9 +226,11 @@ def cmd_group(args):
         phi = gt.PhiMap(
             gt.SubsetSpec.from_texts(
                 group, _items(payload, "default", str, "group vphi")),
-            {group.parse(k): gt.SubsetSpec.from_texts(group, v)
-             for k, v in payload.get("exceptions", {}).items()})
-        support = [group.parse(t) for t in payload.get("support", ["e"])]
+            {group.parse(k): gt.SubsetSpec.from_texts(group, _checked(
+                v, list, "group vphi: each value of 'exceptions'"))
+             for k, v in _field(payload, "exceptions", dict, {}, "group vphi").items()})
+        support = [group.parse(t)
+                   for t in _items(payload, "support", str, "group vphi", ["e"])]
         out = gt.v_phi(phi, support, group)
         words = sorted(group.format(w) for w in out.words)
         _emit(args, {"words": words}, ", ".join(words) or "e")
@@ -242,10 +253,17 @@ def _element_from(x):
     return tuple(x) if isinstance(x, list) else x
 
 
-def _poset_from(data) -> ol.FinitePoset:
-    elements = [_element_from(e) for e in data["elements"]]
-    le = {(_element_from(a), _element_from(b)) for a, b in data["le"]}
+def _poset_from(data, verb) -> ol.FinitePoset:
+    elements = [_element_from(e) for e in _field(data, "elements", list, verb=verb)]
+    le = {(_element_from(a), _element_from(b))
+          for a, b in _items(data, "le", list, verb)}
     return ol.FinitePoset(elements, le)
+
+
+def _fnseq_from(data, verb, tail) -> ol.FnSeq:
+    """An index sequence {"values": [...], "tail": n}, with `tail` if absent."""
+    return ol.FnSeq(tuple(_items(data, "values", int, verb)),
+                    _field(data, "tail", int, tail, verb))
 
 
 def _branch_indices(payload, key, count):
@@ -260,16 +278,19 @@ def _branch_indices(payload, key, count):
 def cmd_order(args):
     payload = _checked(_read_payload(_operand(args, 0)), dict, "the payload")
     if args.action == "check-map":
-        d = _poset_from(_field(payload, "domain", dict, verb="order check-map"))
-        e = _poset_from(_field(payload, "codomain", dict, verb="order check-map"))
-        f = {k: _element_from(v) for k, v in payload["map"].items()}
+        verb = "order check-map"
+        d = _poset_from(_field(payload, "domain", dict, verb=verb), verb)
+        e = _poset_from(_field(payload, "codomain", dict, verb=verb), verb)
+        f = {k: _element_from(v)
+             for k, v in _field(payload, "map", dict, verb=verb).items()}
         mono = ol.check_monotone(f, d, e)
         cof = ol.check_cofinal(f, d, e)
         _emit(args, {"monotone": mono, "cofinal": cof},
               f"monotone={mono} cofinal={cof}")
     elif args.action == "ad-embed":
-        branches = [ol.Branch(b["preperiod"], b["period"])
-                    for b in payload["branches"]]
+        branches = [ol.Branch(*(_field(b, key, str, verb="order ad-embed")
+                                for key in ("preperiod", "period")))
+                    for b in _items(payload, "branches", dict, "order ad-embed")]
         depth = payload.get("depth") or ol.disambiguation_depth(branches)
         s, t = ([branches[i] for i in _branch_indices(payload, key, len(branches))]
                 for key in ("s", "t"))
@@ -290,8 +311,7 @@ def cmd_order(args):
                      "certificate": [list(c) for c in cert]},
               f"z={list(z)}")
     elif args.action == "box":
-        f = ol.FnSeq(tuple(payload["f"]["values"]),
-                     payload["f"].get("tail", 1))
+        f = _fnseq_from(_field(payload, "f", dict, verb="order box"), "order box", 1)
         vector = {int(k): expr.number(v) for k, v in
                   _field(payload, "vector", dict, verb="order box").items()}
         member = ol.box_nbhd(f).contains(vector)
@@ -306,15 +326,14 @@ def cmd_order(args):
 _LIMITS = {"convergent_sequence": Fraction(0), "metric_fan": "c"}
 
 
-def _space_from(data):
+def _space_from(data, verb):
     """The payload's space kind and the space it describes."""
     kind = _field(data, "kind", str, "convergent_sequence")
     if kind == "convergent_sequence":
         decomposition = None
         if "decomposition" in data:
-            decomposition = [
-                frozenset(expr.number(p) for p in _checked(part, list, "a piece"))
-                for part in _field(data, "decomposition", list)]
+            decomposition = [frozenset(map(expr.number, part))
+                             for part in _items(data, "decomposition", list, verb)]
         return kind, ul.convergent_sequence(_field(data, "n_max", int, 100),
                                             decomposition)
     if kind == "metric_fan":
@@ -323,9 +342,10 @@ def _space_from(data):
     if kind == "table":
         table = {tuple(k.split("|")): expr.number(v)
                  for k, v in _field(data, "distances", dict).items()}
-        decomposition = [frozenset(_checked(part, list, "a piece"))
-                         for part in _field(data, "decomposition", list)]
-        return kind, ul.finite_table_space(_field(data, "points", list), table,
+        decomposition = [
+            frozenset(_checked(p, str, f"{verb}: each point of a piece") for p in part)
+            for part in _items(data, "decomposition", list, verb)]
+        return kind, ul.finite_table_space(_items(data, "points", str, verb), table,
                                            decomposition)
     raise ValueError(f"unknown space kind {kind!r}")
 
@@ -357,21 +377,20 @@ def _pair_from(payload, kind, space):
     return points
 
 
-def _alpha_from(data) -> ol.FnSeq:
-    return ol.FnSeq(tuple(_items(data, "values", int, "uniformity u-alpha")),
-                    _field(data, "tail", int, 0))
-
-
 def cmd_uniformity(args):
     payload = _read_payload(_operand(args, 0))
-    kind, space = _space_from(_field(payload, "space", dict))
+    kind, space = _space_from(_field(payload, "space", dict),
+                              f"uniformity {args.action}")
     if args.action == "u-alpha":
-        alpha = _alpha_from(_field(payload, "alpha", dict))
+        alpha = _fnseq_from(_field(payload, "alpha", dict), "uniformity u-alpha", 0)
         x, y = _pair_from(payload, kind, space)
         member = ul.u_alpha_member(space, alpha, x, y)
         _emit(args, {"member": member}, "member" if member else "outside")
     elif args.action == "cofinal-search":
-        radii = {expr.number(k): expr.number(v)
+        # a key names a point as `_point_from` reads it; a fan point
+        # [spoke, k] comes as its JSON text
+        radii = {_point_from(kind, json.loads(k) if kind == "metric_fan"
+                             and k.startswith("[") else k): expr.number(v)
                  for k, v in _field(payload, "radii", dict).items()}
         if "default_radius" in payload:
             for p in space.points:

@@ -8,7 +8,8 @@ denominator share no polynomial factor and the denominator's dominant
 coefficient is one.  Negation and inversion keep a pair coprime, so they
 rebuild the canonical form without a gcd, and `compare` reads most
 answers off the dominant terms alone.  No floating point is involved
-anywhere.
+anywhere.  The caps on height, degree and power size are constants, and
+the module keeps no mutable state.
 """
 
 from fractions import Fraction
@@ -22,7 +23,7 @@ from . import polynomials as P
 LT, EQ, GT = "LT", "EQ", "GT"
 
 MAX_HEIGHT = 8
-DEFAULT_MAX_DEGREE = 32
+MAX_DEGREE = 32
 
 # Cap on the coefficient size of a power, in bits of each numerator
 # and denominator: 14000 bits are at most 4215 decimal digits, so every
@@ -32,36 +33,22 @@ MAX_POWER_BITS = 14000
 
 _VAR_NAMES = tuple(f"a{j}" for j in range(MAX_HEIGHT))
 
-_limits = {"height": MAX_HEIGHT, "degree": DEFAULT_MAX_DEGREE}
-
 
 class TowerLimitError(ValueError):
     """Raised when a result exceeds the height, degree or power-size caps."""
 
 
-def set_limits(max_height: int | None = None, max_degree: int | None = None) -> None:
-    """Adjust the resource caps; the grammar still only names a0..a7."""
-    if max_height is not None:
-        if not 1 <= max_height <= MAX_HEIGHT:
-            raise ValueError(f"max_height must be within 1..{MAX_HEIGHT}")
-        _limits["height"] = max_height
-    if max_degree is not None:
-        if max_degree < 1:
-            raise ValueError("max_degree must be positive")
-        _limits["degree"] = max_degree
-
-
 def get_limits() -> tuple[int, int]:
-    return _limits["height"], _limits["degree"]
+    """The height and degree caps."""
+    return MAX_HEIGHT, MAX_DEGREE
 
 
 def _check_limits(num: P.Poly, den: P.Poly, height: int) -> None:
-    if height > _limits["height"]:
-        raise TowerLimitError(
-            f"tower height {height} exceeds the cap {_limits['height']}")
+    if height > MAX_HEIGHT:
+        raise TowerLimitError(f"tower height {height} exceeds the cap {MAX_HEIGHT}")
     d = max(P.total_degree(num), P.total_degree(den))
-    if d > _limits["degree"]:
-        raise TowerLimitError(f"degree {d} exceeds the cap {_limits['degree']}")
+    if d > MAX_DEGREE:
+        raise TowerLimitError(f"degree {d} exceeds the cap {MAX_DEGREE}")
 
 
 _FRACTION = frozenset({Fraction})
@@ -352,18 +339,6 @@ def _dominant_product(p: P.Poly, q: P.Poly, width: int) -> P.Term:
     e = P.dominant_exp(p)
     f = P.dominant_exp(q)
     return tuple(map(add, e + z[len(e):], f + z[len(f):]))
-
-
-def sign(a: FieldElement) -> int:
-    return FieldElement._coerce(a).sign()
-
-
-def arithmetic(op: str, a: FieldElement, b: FieldElement) -> FieldElement:
-    a = FieldElement._coerce(a)
-    b = FieldElement._coerce(b)
-    if op not in expr.BINARY:
-        raise ValueError(f"unknown operation {op!r}; expected add, sub, mul or div")
-    return expr.BINARY[op](a, b)
 
 
 # -- text format --------------------------------------------------------

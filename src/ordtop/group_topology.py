@@ -158,9 +158,6 @@ class SubsetSpec:
     def is_symmetric(self) -> bool:
         return all(self.group.inv(w) in self.words for w in self.words)
 
-    def inverse(self) -> "SubsetSpec":
-        return SubsetSpec(self.group, (self.group.inv(w) for w in self.words))
-
     def union(self, other: "SubsetSpec") -> "SubsetSpec":
         return SubsetSpec(self.group, self.words | other.words)
 

@@ -11,7 +11,6 @@ identity use the entrywise maximum deviation, which makes the family
 {B_eps} linearly ordered by inclusion.
 """
 
-import json
 from math import lcm
 
 from . import polynomials as P
@@ -210,12 +209,9 @@ def shrink_radius(eps: FieldElement, n: int) -> FieldElement:
 
 # --- JSON wire format ---------------------------------------------------
 
-def matrix_to_json(a: Matrix) -> str:
-    return json.dumps([[format_element(x) for x in row] for row in a.rows])
-
-
-def matrix_from_json(text: str) -> Matrix:
-    return matrix_from_data(json.loads(text))
+def matrix_to_data(a: Matrix) -> list:
+    """The JSON-ready array of arrays of canonical element texts."""
+    return [[format_element(x) for x in row] for row in a.rows]
 
 
 def matrix_from_data(data) -> Matrix:

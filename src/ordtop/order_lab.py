@@ -84,19 +84,6 @@ def check_cofinal(f, d: FinitePoset, e: FinitePoset) -> bool:
     return cover == (1 << len(e)) - 1
 
 
-def semilattice_extend(v, s, universe=None) -> frozenset:
-    """Intersection over the finite index set; antitone in the set."""
-    s = list(s)
-    if not s:
-        if universe is None:
-            raise ValueError("empty index set and no configured universe")
-        return frozenset(universe)
-    out = frozenset(v[s[0]])
-    for kappa in s[1:]:
-        out &= frozenset(v[kappa])
-    return out
-
-
 # --- almost-disjoint branches -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -301,20 +288,12 @@ class FnSeq:
 def diagonal_witness(rows):
     """z(x) = a_x(x) + 1, never dominated by any row; with the witness list.
 
-    Each certificate entry records (coordinate, z value, row value) with
+    rows are indexable, and row x is read at x only.  Each certificate entry records (coordinate, z value, row value) with
     z strictly larger at that coordinate.
     """
-    rows = list(rows)
-    tau = len(rows)
-
-    def at(row, i):
-        return row.get(i) if isinstance(row, FnSeq) else row[i]
-
-    z = tuple(at(rows[x], x) + 1 for x in range(tau))
-    certificate = []
-    for beta in range(tau):
-        certificate.append((beta, z[beta], at(rows[beta], beta)))
-    return z, certificate
+    diagonal = [row[x] for x, row in enumerate(rows)]
+    z = tuple(a + 1 for a in diagonal)
+    return z, [(beta, a + 1, a) for beta, a in enumerate(diagonal)]
 
 
 # --- box neighbourhoods of the free locally convex sum ----------------------------
@@ -339,33 +318,6 @@ class BoxNeighbourhood:
 
 def box_nbhd(f: FnSeq) -> BoxNeighbourhood:
     return BoxNeighbourhood(f)
-
-
-@dataclass(frozen=True)
-class BoxUnboundedCertificate:
-    beta: int
-    bound: Fraction
-    member: FnSeq
-
-    def check(self, vector) -> bool:
-        """Membership in the member box forces |x_beta| < the bound."""
-        if not BoxNeighbourhood(self.member).contains(vector):
-            return True
-        return abs(Fraction(vector.get(self.beta, 0))) < self.bound
-
-
-def box_unbounded_cert(family, beta: int, strength: int) -> BoxUnboundedCertificate:
-    """Pick a family member with f(beta) >= strength; its box pins x_beta.
-
-    family is a callable index -> FnSeq (a parametric description of an
-    unbounded set of indices).  This is the computational content of
-    membership in the whole intersection forcing the coordinate to zero.
-    """
-    member = family(strength)
-    if member.get(beta) < strength:
-        raise ValueError(
-            f"family member has f({beta}) = {member.get(beta)} < {strength}")
-    return BoxUnboundedCertificate(beta, Fraction(1, strength), member)
 
 
 # --- exhaustive poset enumeration --------------------------------------------------

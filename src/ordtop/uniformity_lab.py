@@ -297,20 +297,9 @@ class Entourage:
         return self.reflexive or all(self.rows(space))
 
 
-def _alpha_values(space, alpha):
-    count = len(space.decomposition)
-    if isinstance(alpha, FnSeq):
-        values = [alpha.get(n) for n in range(count)]
-    else:
-        values = list(alpha)
-        if len(values) < count:
-            raise ValueError(
-                f"alpha has {len(values)} entries for {count} compact pieces "
-                f"and no tail; pass an FnSeq for tail semantics")
-        values = values[:count]
-    if any(not isinstance(a, int) or a < 0 for a in values):
-        raise ValueError("alpha entries must be natural numbers")
-    return values
+def _alpha_values(space, alpha: FnSeq) -> list:
+    """alpha(n) for each compact piece n; an FnSeq holds natural numbers."""
+    return [alpha.get(n) for n in range(len(space.decomposition))]
 
 
 class UAlphaEntourage(Entourage):
@@ -319,7 +308,7 @@ class UAlphaEntourage(Entourage):
 
     __slots__ = ("space", "alpha", "_exponents")
 
-    def __init__(self, space: MetricSpacePresentation, alpha):
+    def __init__(self, space: MetricSpacePresentation, alpha: FnSeq):
         self.space = space
         self.alpha = alpha
         self._exponents = _alpha_values(space, alpha)
@@ -328,7 +317,7 @@ class UAlphaEntourage(Entourage):
         return self.space.ball_row(x, self._exponents)
 
 
-def u_alpha_member(space: MetricSpacePresentation, alpha, x, y) -> bool:
+def u_alpha_member(space: MetricSpacePresentation, alpha: FnSeq, x, y) -> bool:
     """(x, y) on the diagonal or within 2^-alpha(n) of some K~_n."""
     return UAlphaEntourage(space, alpha).contains(x, y)
 

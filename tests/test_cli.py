@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ordtop import group_topology as gt
 from ordtop.cli import main
 from ordtop.exact_field import MAX_POWER_BITS
 from ordtop.expr import MAX_DEPTH, MAX_EXPONENT
@@ -98,6 +99,9 @@ def _table(n, distances=()):
 _BROKEN = {"p0|p1": "2", "p0|p2": "9/10", "p1|p2": "9/10"}  # fails at one triangle
 _SEQ = {"kind": "convergent_sequence", "n_max": 10}
 _BRANCH = {"preperiod": "", "period": "0"}
+_BALL = {"center": {"prefix": [], "tail": "0"}, "radius": {"prefix": [], "tail": "1"}}
+_CHECK_MAP = {"domain": {"elements": ["x"], "le": [["x", "x"]]},
+              "codomain": {"elements": ["x"], "le": [["x", "x"]]}, "map": {"x": "x"}}
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -165,6 +169,41 @@ _BRANCH = {"preperiod": "", "period": "0"}
     (["order", "ad-embed", json.dumps({"branches": [_BRANCH], "s": [5], "t": [0]})], 2,
      "error: order ad-embed: 's' names branch 5, outside 0..0\n"),
     (["report", "[1]"], 2, "error: report: expected an object holding 'suite', got int\n"),
+    (["order", "ad-embed", json.dumps({"branches": [5], "s": [0], "t": [0]})], 2,
+     "error: order ad-embed: each item of 'branches' must be an object, got int\n"),
+    (["order", "ad-embed", json.dumps(
+        {"branches": [dict(_BRANCH, preperiod=5)], "s": [0], "t": [0]})], 2,
+     "error: order ad-embed: 'preperiod' must be a string, got int\n"),
+    (["order", "box", '{"f": 5, "vector": {}}'], 2,
+     "error: order box: 'f' must be an object, got int\n"),
+    (["order", "box", '{"f": {"values": [1], "tail": "x"}, "vector": {}}'], 2,
+     "error: order box: 'tail' must be an integer, got str\n"),
+    (["order", "check-map", json.dumps(dict(_CHECK_MAP, domain={"elements": 5, "le": []}))], 2,
+     "error: order check-map: 'elements' must be an array, got int\n"),
+    (["order", "check-map", json.dumps(dict(_CHECK_MAP, domain={"elements": ["x"], "le": 5}))], 2,
+     "error: order check-map: 'le' must be an array, got int\n"),
+    (["order", "check-map", json.dumps(dict(_CHECK_MAP, map=5))], 2,
+     "error: order check-map: 'map' must be an object, got int\n"),
+    (["group", "vphi", '{"default": ["a"], "exceptions": {"a": 5}}'], 2,
+     "error: group vphi: each value of 'exceptions' must be an array, got int\n"),
+    (["group", "vphi", '{"default": ["a"], "support": 5}'], 2,
+     "error: group vphi: 'support' must be an array, got int\n"),
+    (["rp", "interleave", '{"instances": [5]}'], 2,
+     "error: rp interleave: each item of 'instances' must be an object, got int\n"),
+    (["rp", "interleave", json.dumps({"instances": [_BALL], "cuts": 5})], 2,
+     "error: rp interleave: 'cuts' must be an array, got int\n"),
+    (["rp", "baire", json.dumps({"ball": _BALL, "forbidden": 5})], 2,
+     "error: rp baire: 'forbidden' must be an array, got int\n"),
+    (["rp", "baire", json.dumps({"ball": {"center": _BALL["center"]}})], 2,
+     "error: rp baire: missing 'radius'\n"),
+    (["uniformity", "u-alpha", _u_alpha(dict(_table(3), points=["p0", ["p1"], "p2"]),
+                                        ["p0", "p0"])], 2,
+     "error: uniformity u-alpha: each item of 'points' must be a string, got list\n"),
+    (["uniformity", "u-alpha", _u_alpha(dict(_table(3), decomposition=[["p0", ["p1"]]]),
+                                        ["p0", "p0"])], 2,
+     "error: uniformity u-alpha: each point of a piece must be a string, got list\n"),
+    (["group", "sym-member", '{"sets": [["a"]]}'], 2,
+     "error: group sym-member: missing 'word'\n"),
 ])
 def test_bounded_inputs_and_exit_codes(capsys, argv, code, message):
     start = time.perf_counter()
@@ -296,6 +335,16 @@ def test_group_verbs(capsys):
         {"e", "x y^-1", "x^-1 y", "y x^-1", "y^-1 x"}
 
 
+def test_sym_member_replays_its_certificate(capsys, monkeypatch):
+    payload = json.dumps({"word": "a", "sets": [["a"]]})
+    assert run(capsys, "group", "sym-member", payload) == (0, "Yes(n=1, sigma=(1,))\n", "")
+    forged = gt.SymYes(1, (1,), (gt.FreeGroup(("a", "b")).parse("b"),))
+    monkeypatch.setattr(gt, "sym_member", lambda *args: forged)
+    assert run(capsys, "group", "sym-member", payload) == (
+        3, "", "internal error: RuntimeError: group sym-member: "
+               "the certificate n=1 sigma=(1,) fails its replay\n")
+
+
 def test_order_verbs(capsys):
     payload = json.dumps({
         "domain": {"elements": [0, 1], "le": [[0, 0], [1, 1], [0, 1]]},
@@ -400,6 +449,13 @@ def test_uniformity_verbs_on_a_fan(capsys):
             (["c"], 'error: "pair" must name two points, got 1\n')]:
         assert u_alpha(1, pair) == (2, "", message)
         assert countable(1, pair) == (2, "", message)
+    # a radius key names a point, a spoke point as its JSON text
+    for radii, alpha in [({"c": "1/2"}, "alpha=[1] tail=1"),
+                         ({"c": "1/32"}, "alpha=[2] tail=2"),
+                         ({"c": "1/2", "[0, 1]": "1/4"}, "alpha=[1] tail=1")]:
+        assert run(capsys, "uniformity", "cofinal-search", json.dumps(
+            {"space": fan, "radii": radii, "default_radius": "1/2"})) == \
+            (0, f"{alpha} audit=0\n", "")
     code, _, err = run(capsys, "uniformity", "u-alpha", _u_alpha(
         {"kind": "convergent_sequence", "n_max": 8}, ["0", "1/9"]))
     assert (code, err) == (2, 'error: "1/9" is not a point of convergent_sequence(8)\n')

@@ -12,7 +12,6 @@ from ordtop.order_lab import (
     FnSeq,
     ad_join,
     box_nbhd,
-    box_unbounded_cert,
     branch_codes,
     branch_subset,
     check_cofinal,
@@ -23,7 +22,6 @@ from ordtop.order_lab import (
     poset_masks_up_to_iso,
     prefix_code,
     search_unbounded_certificate,
-    semilattice_extend,
     tukey_to_monotone,
 )
 
@@ -74,27 +72,6 @@ def test_partial_map_rejected():
 V3 = {"k1": {1, 2}, "k2": {2, 3}, "k3": {2, 4}}
 
 
-def test_semilattice_examples():
-    assert semilattice_extend(V3, ["k1"]) == {1, 2}
-    assert semilattice_extend(V3, ["k1", "k2"]) == {2}
-    with pytest.raises(ValueError):
-        semilattice_extend(V3, [])
-    assert semilattice_extend(V3, [], universe={9}) == {9}
-
-
-def test_semilattice_antitone_exhaustive():
-    v4 = dict(V3, k4={2, 5})
-    for family in (V3, v4):
-        keys = list(family)
-        for r in range(1, len(keys) + 1):
-            for s in combinations(keys, r):
-                for rr in range(1, len(keys) + 1):
-                    for t in combinations(keys, rr):
-                        if set(s) <= set(t):
-                            assert semilattice_extend(family, t) <= \
-                                semilattice_extend(family, s)
-
-
 def test_semilattice_induced_map_monotone_cofinal():
     # D: non-empty index subsets by inclusion; E: the generated
     # intersection family ordered by reverse inclusion.
@@ -103,11 +80,11 @@ def test_semilattice_induced_map_monotone_cofinal():
                for c in combinations(keys, r)]
     d = FinitePoset(subsets, {(a, b) for a in subsets for b in subsets
                               if a <= b})
-    family = sorted({frozenset(semilattice_extend(V3, s)) for s in subsets},
-                    key=sorted)
+    f = {s: frozenset.intersection(*(frozenset(V3[k]) for k in s))
+         for s in subsets}
+    family = sorted(set(f.values()), key=sorted)
     e = FinitePoset(family, {(a, b) for a in family for b in family
                              if b <= a})
-    f = {s: frozenset(semilattice_extend(V3, s)) for s in subsets}
     assert check_monotone(f, d, e)
     assert check_cofinal(f, d, e)
 
@@ -250,14 +227,6 @@ def test_diagonal_examples():
     assert z == (6,)
 
 
-def test_diagonal_with_fnseq_rows():
-    rows = [FnSeq((3, 1), 0), FnSeq((0,), 2)]
-    z, cert = diagonal_witness(rows)
-    assert z == (4, 3)
-    for beta, zv, av in cert:
-        assert zv == av + 1
-
-
 # --- box neighbourhoods ------------------------------------------------------------------
 
 def test_box_membership_example():
@@ -281,18 +250,6 @@ def test_box_monotone_on_grid():
                         vec = {0: x0, 1: x1}
                         if bg.contains(vec):
                             assert bf.contains(vec)
-
-
-def test_box_unbounded_certificate():
-    family = lambda k: FnSeq((k,), 1)
-    cert = box_unbounded_cert(family, 0, 1000)
-    assert cert.bound == Fraction(1, 1000)
-    assert cert.check({0: Fraction(1, 2000)})
-    assert cert.check({0: Fraction(1, 2)})  # not a member, vacuous
-    member_vec = {0: Fraction(1, 5000)}
-    assert cert.check(member_vec)
-    with pytest.raises(ValueError):
-        box_unbounded_cert(lambda k: FnSeq((1,), 1), 0, 10)
 
 
 def test_fnseq_join_is_pointwise_max():

@@ -107,12 +107,14 @@ def test_u_alpha_deeper_sequence():
     assert not u_alpha_member(space, alpha, F(1), F(1, 2))
 
 
-def test_alpha_without_tail_rejected():
+def test_alpha_tail_covers_later_pieces():
     space = convergent_sequence(
         8, decomposition=[frozenset({F(0)}), frozenset({F(0), F(1)})])
+    # alpha(1) is the tail: 0 puts (1/2, 1/4) within 1 of K~_1, 2 does not
+    assert u_alpha_member(space, FnSeq((3,)), F(1, 2), F(1, 4))
+    assert not u_alpha_member(space, FnSeq((3,), 2), F(1, 2), F(1, 4))
     with pytest.raises(ValueError):
-        u_alpha_member(space, [3], F(1, 2), F(1, 2))
-    assert u_alpha_member(space, [3, 2], F(1, 2), F(1, 2))
+        FnSeq((3, -1))
 
 
 def test_entourage_axioms():
