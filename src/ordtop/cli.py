@@ -189,9 +189,9 @@ def cmd_rp(args):
 
 # --- group ---------------------------------------------------------------------
 
-def _group_from(payload):
-    gens = tuple(_field(payload, "generators", list, ["a", "b"]))
-    if _field(payload, "abelian", bool, False):
+def _group_from(payload, verb):
+    gens = tuple(_items(payload, "generators", str, verb, ["a", "b"]))
+    if _field(payload, "abelian", bool, False, verb):
         return gt.FreeAbelianGroup(gens)
     return gt.FreeGroup(gens)
 
@@ -202,7 +202,7 @@ def cmd_group(args):
             name="rd-lemmas", seed=args.seed, scale=args.scale,
             json=args.json, out=None))
     payload = _read_payload(_operand(args, 0))
-    group = _group_from(payload)
+    group = _group_from(payload, f"group {args.action}")
     if args.action == "sym-member":
         sets = [gt.SubsetSpec.from_texts(group, _checked(texts, list, "a set"))
                 for texts in _field(payload, "sets", list)]
@@ -248,15 +248,28 @@ def cmd_group(args):
 
 # --- order -----------------------------------------------------------------------
 
-def _element_from(x):
-    """JSON arrays become tuples, so that elements can be hashed."""
-    return tuple(x) if isinstance(x, list) else x
+def _element_from(x, what):
+    """x as a poset element: a JSON array becomes a tuple, so that it can
+    be hashed; an object, or an array holding an object or an array, is
+    refused."""
+    element = tuple(x) if isinstance(x, list) else x
+    try:
+        hash(element)
+    except TypeError:
+        raise ValueError(f"{what} must be a string, a number or an array of "
+                         f"those, got {json.dumps(x):.40}") from None
+    return element
 
 
 def _poset_from(data, verb) -> ol.FinitePoset:
-    elements = [_element_from(e) for e in _field(data, "elements", list, verb=verb)]
-    le = {(_element_from(a), _element_from(b))
-          for a, b in _items(data, "le", list, verb)}
+    elements = [_element_from(e, f"{verb}: each item of 'elements'")
+                for e in _field(data, "elements", list, verb=verb)]
+    le = set()
+    for pair in _items(data, "le", list, verb):
+        if len(pair) != 2:
+            raise ValueError(f"{verb}: each item of 'le' must hold two "
+                             f"elements, got {len(pair)}")
+        le.add(tuple(_element_from(x, f"{verb}: each element of 'le'") for x in pair))
     return ol.FinitePoset(elements, le)
 
 
@@ -281,7 +294,7 @@ def cmd_order(args):
         verb = "order check-map"
         d = _poset_from(_field(payload, "domain", dict, verb=verb), verb)
         e = _poset_from(_field(payload, "codomain", dict, verb=verb), verb)
-        f = {k: _element_from(v)
+        f = {k: _element_from(v, f"{verb}: each value of 'map'")
              for k, v in _field(payload, "map", dict, verb=verb).items()}
         mono = ol.check_monotone(f, d, e)
         cof = ol.check_cofinal(f, d, e)
@@ -300,7 +313,8 @@ def cmd_order(args):
               f"join_le={le} branch_subset={subset}")
         return 0 if le == subset else 1
     elif args.action == "diagonal":
-        rows = payload["rows"]
+        # any value: the check below names rows of the wrong shape
+        rows = _field(payload, "rows", object, verb="order diagonal")
         if not (isinstance(rows, list) and all(
                 isinstance(row, list) and len(row) > i and type(row[i]) is int
                 for i, row in enumerate(rows))):

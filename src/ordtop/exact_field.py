@@ -31,8 +31,6 @@ MAX_DEGREE = 32
 # limit on int-to-str conversion.
 MAX_POWER_BITS = 14000
 
-_VAR_NAMES = tuple(f"a{j}" for j in range(MAX_HEIGHT))
-
 
 class TowerLimitError(ValueError):
     """Raised when a result exceeds the height, degree or power-size caps."""
@@ -343,20 +341,18 @@ def _dominant_product(p: P.Poly, q: P.Poly, width: int) -> P.Term:
 
 # -- text format --------------------------------------------------------
 
+_VARIABLES = {f"a{j}": FieldElement.var(j) for j in range(MAX_HEIGHT)}
+
+
 def parse_element(text: str) -> FieldElement:
     """Parse the expression grammar: rationals, a0..a7, + - * / ^."""
-    return expr.evaluate(expr.parse(text, _VAR_NAMES), _leaf)
-
-
-def _leaf(kind: str, value) -> FieldElement:
-    if kind == "num":
-        return FieldElement.from_rational(value)
-    return FieldElement.var(_VAR_NAMES.index(value))
+    return expr.evaluate(text, FieldElement.from_rational, _VARIABLES,
+                         lambda a: [*a.num.values(), *a.den.values()])
 
 
 def _terms(p: P.Poly):
     for e in sorted(p, key=P.dominance_key):
-        yield p[e], "*".join(f"{_VAR_NAMES[j]}^{k}" if k > 1 else _VAR_NAMES[j]
+        yield p[e], "*".join(f"a{j}^{k}" if k > 1 else f"a{j}"
                              for j, k in enumerate(e) if k)
 
 

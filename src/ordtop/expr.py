@@ -1,29 +1,36 @@
 """Tiny expression grammar shared by the field and sequence parsers.
 
 Accepts integers, the caller's variable names, the operators
-``+ - * / ^`` with the usual precedence, and parentheses.  ``^`` binds
-tightest, requires an integer exponent, and is right-associative.
-Produces a small tuple AST: ('num', n) | ('var', name) | ('neg', x)
-| ('add'|'sub'|'mul'|'div', l, r) | ('pow', base, exponent).  Nesting
-(parentheses and signs) and the depth of the AST are both capped at
-MAX_DEPTH, so the recursive parser and evaluator stay far below the
-interpreter's recursion limit, and a long flat sum or product cannot
-make evaluation run for seconds; a deeper input raises ExprError.
+``+ - * / ^`` with the usual precedence, and parentheses; ``^`` binds
+tightest and takes one integer exponent.  evaluate() reads the text in
+one pass and applies each operator as soon as its operands are read.
+Three constant caps bound the work, and an input past one raises
+ExprError.  Parentheses and signs nest at most MAX_DEPTH levels, which
+keeps the recursive reader far below the interpreter's recursion limit;
+chains of ``+ -`` and ``* /`` fold in a loop and add no level.  At most
+MAX_TOKENS tokens bound the number of operations.  Every value built on
+the way keeps each numerator and denominator within MAX_BITS bits, which
+bounds the cost of each operation.  A canonical text meets that cap:
+each value built while reading it holds some of the coefficients of the
+value it prints.
 
-The field and the sequence tails each supply only their leaves to
-evaluate() and their monomial text to format_terms().  Plain numbers
-in JSON payloads are read by number().
+The field and the sequence tails each supply only their numbers,
+variables and coefficients to evaluate() and their monomial text to
+format_terms().
+Plain numbers in JSON payloads are read by number().
 """
 
-import operator
 import re
 from fractions import Fraction
 
 MAX_DEPTH = 150
+MAX_TOKENS = 16384
+# Above the 14,284 bits of a 4,300-digit integer, the largest
+# coefficient that a canonical text can print.
+MAX_BITS = 1 << 14
 # Python's default cap on int <-> text digits: a larger decimal exponent
 # would make Fraction build a power of ten the program cannot print.
 MAX_EXPONENT = 4300
-_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -41,6 +48,8 @@ def tokenize(text: str) -> list:
             if text[pos:].strip():
                 raise ExprError(f"unexpected character {text[pos:].strip()[0]!r}")
             break
+        if len(tokens) == MAX_TOKENS:
+            raise ExprError(f"expression longer than {MAX_TOKENS} tokens")
         num, name, op = m.groups()
         if num is not None:
             tokens.append(("num", int(num)))
@@ -52,21 +61,53 @@ def tokenize(text: str) -> list:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, names):
-        self.tokens = tokens
-        self.names = names
-        self.pos = 0
-        self.nesting = 0
+def evaluate(text: str, number, variables: dict, coefficients):
+    """The value of text under Python's operators: number(n) gives each
+    integer literal n, variables maps each name that text may use to its
+    value (in order: errors spell them as first..last), and
+    coefficients(v) yields the rational coefficients of a value v.
+    Unknown names are refused before anything is evaluated."""
+    if not isinstance(text, str):
+        raise ExprError(f"expression must be a string, got {type(text).__name__}")
+    tokens = tokenize(text)
+    if not tokens:
+        raise ExprError("empty expression")
+    for kind, value in tokens:
+        if kind == "var" and value not in variables:
+            names = list(variables)
+            expected = names[0] if len(names) == 1 else f"{names[0]}..{names[-1]}"
+            raise ExprError(f"unknown variable {value!r}; expected {expected}")
+    reader = _Reader(tokens, number, variables, coefficients)
+    value = reader.sum()
+    if reader.pos != len(tokens):
+        raise ExprError(f"trailing input at token {tokens[reader.pos]!r}")
+    return value
 
-    def nested(self, parse):
-        """Run one sub-parse a nesting level deeper."""
+
+class _Reader:
+    """Recursive descent over a token list, folding as it reads."""
+
+    def __init__(self, tokens, number, variables, coefficients):
+        self.tokens = tokens
+        self.number = number
+        self.variables = variables
+        self.coefficients = coefficients
+        self.pos = self.nesting = 0
+
+    def capped(self, value):
+        if any(max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_BITS
+               for c in self.coefficients(value)):
+            raise ExprError(f"expression numbers pass the size cap of {MAX_BITS} bits")
+        return value
+
+    def nested(self, read):
+        """Run one sub-read a nesting level deeper."""
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
-            raise ExprError(_TOO_DEEP)
-        node = parse()
+            raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels")
+        value = read()
         self.nesting -= 1
-        return node
+        return value
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -83,116 +124,60 @@ class _Parser:
         if tok != ("op", op):
             raise ExprError(f"expected {op!r}, got {tok!r}")
 
-    def parse_sum(self):
-        node = self.parse_product()
+    def sum(self):
+        value = self.product()
         while self.peek() in (("op", "+"), ("op", "-")):
             _, op = self.take()
-            rhs = self.parse_product()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            rhs = self.product()
+            value = self.capped(value + rhs if op == "+" else value - rhs)
+        return value
 
-    def parse_product(self):
-        node = self.parse_unary()
+    def product(self):
+        value = self.unary()
         while self.peek() in (("op", "*"), ("op", "/")):
             _, op = self.take()
-            rhs = self.parse_unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            rhs = self.unary()
+            value = self.capped(value * rhs if op == "*" else value / rhs)
+        return value
 
-    def parse_unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.nested(self.parse_unary))
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.nested(self.parse_unary)
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_atom()
+    def unary(self):
+        if self.peek() in (("op", "+"), ("op", "-")):
+            _, op = self.take()
+            value = self.nested(self.unary)
+            return -value if op == "-" else value
+        value = self.atom()
         if self.peek() == ("op", "^"):
             self.take()
-            return ("pow", base, self.parse_exponent())
-        return base
+            k = self.exponent()
+            # the caller's own power cap is checked before the power runs
+            value = self.capped(value ** k)
+        return value
 
-    def parse_exponent(self) -> int:
-        neg = False
-        if self.peek() == ("op", "-"):
+    def exponent(self) -> int:
+        neg = self.peek() == ("op", "-")
+        if neg:
             self.take()
-            neg = True
         tok = self.take()
         if tok == ("op", "("):
-            inner = self.nested(self.parse_exponent)
+            value = self.nested(self.exponent)
             self.expect_op(")")
-            return -inner if neg else inner
-        kind, value = tok
-        if kind != "num":
-            raise ExprError(f"exponent must be an integer, got {value!r}")
+        elif tok[0] == "num":
+            value = tok[1]
+        else:
+            raise ExprError(f"exponent must be an integer, got {tok[1]!r}")
         return -value if neg else value
 
-    def parse_atom(self):
-        tok = self.take()
-        kind, value = tok
+    def atom(self):
+        kind, value = self.take()
         if kind == "num":
-            return ("num", value)
+            return self.number(value)
         if kind == "var":
-            if value not in self.names:
-                first, last = self.names[0], self.names[-1]
-                expected = first if first == last else f"{first}..{last}"
-                raise ExprError(f"unknown variable {value!r}; expected {expected}")
-            return ("var", value)
-        if tok == ("op", "("):
-            inner = self.nested(self.parse_sum)
+            return self.variables[value]
+        if value == "(":
+            inner = self.nested(self.sum)
             self.expect_op(")")
             return inner
         raise ExprError(f"unexpected token {value!r}")
-
-
-def parse(text: str, names: tuple):
-    """The AST of text, whose variables must be among names (in order:
-    errors spell them as first..last)."""
-    if not isinstance(text, str):
-        raise ExprError(f"expression must be a string, got {type(text).__name__}")
-    tokens = tokenize(text)
-    if not tokens:
-        raise ExprError("empty expression")
-    parser = _Parser(tokens, names)
-    ast = parser.parse_sum()
-    if parser.pos != len(tokens):
-        raise ExprError(f"trailing input at token {parser.tokens[parser.pos]!r}")
-    if _depth(ast) > MAX_DEPTH:  # long flat sums and products nest to the left
-        raise ExprError(_TOO_DEEP)
-    return ast
-
-
-def _depth(ast) -> int:
-    """Number of nodes on the longest root-to-leaf path, without recursion."""
-    best, stack = 0, [(ast, 1)]
-    while stack:
-        node, d = stack.pop()
-        best = max(best, d)
-        stack.extend((child, d + 1) for child in node[1:]
-                     if isinstance(child, tuple))
-    return best
-
-
-# The binary AST nodes and the operators that evaluate() applies to them.
-BINARY = {"add": operator.add, "sub": operator.sub,
-          "mul": operator.mul, "div": operator.truediv}
-
-
-def evaluate(ast, leaf):
-    """Fold the AST with Python's operators; leaf(kind, value) gives the
-    value of each 'num' and 'var' node."""
-    kind = ast[0]
-    if kind == "num" or kind == "var":
-        return leaf(kind, ast[1])
-    if kind == "neg":
-        return -evaluate(ast[1], leaf)
-    if kind == "pow":
-        return evaluate(ast[1], leaf) ** ast[2]
-    lhs = evaluate(ast[1], leaf)
-    return BINARY[kind](lhs, evaluate(ast[2], leaf))
 
 
 def format_terms(terms) -> str:

@@ -300,6 +300,8 @@ def _sym_walk(group, sets, horizon, lo=0, hi=None):
 
 
 def _check_horizon(horizon: int, count: int) -> None:
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} is negative")
     if horizon > min(count, FACTOR_CAP):
         raise ValueError(f"horizon {horizon} exceeds the available sets or cap")
 

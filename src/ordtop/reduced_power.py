@@ -49,9 +49,11 @@ def _pmul(a, b):
     if not a or not b:
         return ()
     out = [Fraction(0)] * (len(a) + len(b) - 1)
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in nonzero:
+                out[i + j] += x * y
     return _trim(out)
 
 
@@ -100,13 +102,13 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(Fraction(1),)):
-        num = _trim(Fraction(c) for c in num)
-        den = _trim(Fraction(c) for c in den)
+        num = _trim(c if type(c) is Fraction else Fraction(c) for c in num)
+        den = _trim(c if type(c) is Fraction else Fraction(c) for c in den)
         if not den:
             raise ZeroDivisionError("zero denominator in sequence tail")
         if not num:
             den = (Fraction(1),)
-        else:
+        elif len(den) > 1:
             # The tower's heuristic gcd, on one variable: Euclid's
             # algorithm over Q swells the coefficients until adding two
             # tails of degree 16 takes seconds.
@@ -115,10 +117,10 @@ class RatFunc:
             if max(g) > (0,):
                 num = _as_coeffs(P.p_divexact(pn, g))
                 den = _as_coeffs(P.p_divexact(pd, g))
+        if den[-1] != 1:
             lead = den[-1]
-            if lead != 1:
-                num = tuple(c / lead for c in num)
-                den = tuple(c / lead for c in den)
+            num = tuple(c / lead for c in num)
+            den = tuple(c / lead for c in den)
         _check_degree(max(len(num), len(den)) - 1)
         self.num = num
         self.den = den
@@ -138,6 +140,8 @@ class RatFunc:
         return not self.num
 
     def __add__(self, other):
+        if self.den == other.den:
+            return RatFunc(_padd(self.num, other.num), self.den)
         return RatFunc(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den))
@@ -464,16 +468,12 @@ def baire_witness(open_ball: Ball, forbidden) -> BaireWitness:
 
 # --- JSON wire format ------------------------------------------------------
 
-_N = RatFunc((Fraction(0), Fraction(1)))
+_VARIABLES = {"n": RatFunc((Fraction(0), Fraction(1)))}
 
 
 def parse_tail(text: str) -> RatFunc:
     """Parse the expression grammar: rationals, n, + - * / ^."""
-    return expr.evaluate(expr.parse(text, ("n",)), _leaf)
-
-
-def _leaf(kind: str, value) -> RatFunc:
-    return RatFunc.constant(value) if kind == "num" else _N
+    return expr.evaluate(text, RatFunc.constant, _VARIABLES, lambda f: f.num + f.den)
 
 
 def _terms(coeffs):

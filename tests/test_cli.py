@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ordtop import group_topology as gt
 from ordtop.cli import main
 from ordtop.exact_field import MAX_POWER_BITS
-from ordtop.expr import MAX_DEPTH, MAX_EXPONENT
+from ordtop.expr import MAX_BITS, MAX_DEPTH, MAX_EXPONENT, MAX_TOKENS
 from ordtop.order_lab import MAX_AD_DEPTH
 from ordtop.reduced_power import MAX_SETTLE, MAX_TAIL_DEGREE
 from ordtop.uniformity_lab import MAX_POINTS, MAX_SCALE_BITS
@@ -43,7 +43,7 @@ def test_field_errors(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["field", "eval", "(" * 5000 + "1" + ")" * 5000],
-    ["field", "eval", "+".join(["1"] * 3000)],
+    ["field", "eval", "+" * 3000 + "1"],
     ["rp", "compare",
      json.dumps({"prefix": ["0"], "tail": "(" * 5000 + "n" + ")" * 5000}),
      json.dumps({"prefix": ["0"], "tail": "1/n"})],
@@ -57,8 +57,11 @@ def test_expression_depth_is_bounded(capsys, argv):
 def test_expression_at_depth_cap_parses(capsys):
     nested = "(" * MAX_DEPTH + "a0" + ")" * MAX_DEPTH
     assert run(capsys, "field", "eval", nested) == (0, "a0\n", "")
-    flat = "+".join(["1"] * MAX_DEPTH)  # MAX_DEPTH - 1 'add' nodes over a leaf
-    assert run(capsys, "field", "eval", flat) == (0, f"{MAX_DEPTH}\n", "")
+    # flat chains of MAX_TOKENS tokens nest no deeper than their sign
+    half = MAX_TOKENS // 2
+    for op, leaf, value in [("+", "1", half), ("*", "2", 2 ** half)]:
+        flat = "+" + op.join([leaf] * half)
+        assert run(capsys, "field", "eval", flat) == (0, f"{value}\n", "")
 
 
 @pytest.mark.parametrize("text", ["2^1000000000000", "2^3000000",
@@ -140,7 +143,7 @@ _CHECK_MAP = {"domain": {"elements": ["x"], "le": [["x", "x"]]},
         "depth": 8000})], 2,
      f"error: depth 8000 exceeds the cap {MAX_AD_DEPTH}\n"),
     (["group", "sym-member", "[1]"], 2,
-     "error: expected an object holding 'generators', got list\n"),
+     "error: group sym-member: expected an object holding 'generators', got list\n"),
     (["matrix", "mul", "[1]"], 2, "error: expected an object holding 'a', got list\n"),
     (["rp", "compare", '{"prefix": 5, "tail": "n"}', _tail("n")], 2,
      "error: sequence prefix must be an array, got int\n"),
@@ -204,6 +207,29 @@ _CHECK_MAP = {"domain": {"elements": ["x"], "le": [["x", "x"]]},
      "error: uniformity u-alpha: each point of a piece must be a string, got list\n"),
     (["group", "sym-member", '{"sets": [["a"]]}'], 2,
      "error: group sym-member: missing 'word'\n"),
+    (["field", "eval", "+".join(["1"] * (MAX_TOKENS // 2 + 1))], 2,
+     f"error: expression longer than {MAX_TOKENS} tokens\n"),
+    (["field", "eval", "*".join(["2^14000"] * 5)], 2,
+     f"error: expression numbers pass the size cap of {MAX_BITS} bits\n"),
+    (["order", "check-map", json.dumps(dict(_CHECK_MAP, domain={"elements": [{"a": 1}], "le": []}))], 2,
+     "error: order check-map: each item of 'elements' must be a string, a number "
+     'or an array of those, got {"a": 1}\n'),
+    (["order", "check-map", json.dumps(dict(_CHECK_MAP, domain={"elements": [[[1]]], "le": []}))], 2,
+     "error: order check-map: each item of 'elements' must be a string, a number "
+     "or an array of those, got [[1]]\n"),
+    (["order", "check-map", json.dumps(dict(_CHECK_MAP, domain={"elements": ["x"],
+                                                               "le": [["x", "x", "x"]]}))], 2,
+     "error: order check-map: each item of 'le' must hold two elements, got 3\n"),
+    (["order", "check-map", json.dumps(dict(_CHECK_MAP, map={"x": ["x", {}]}))], 2,
+     "error: order check-map: each value of 'map' must be a string, a number "
+     'or an array of those, got ["x", {}]\n'),
+    (["group", "sym-member", '{"generators": [[1]], "sets": [["a"]], "word": "a"}'], 2,
+     "error: group sym-member: each item of 'generators' must be a string, got list\n"),
+    (["group", "vphi", '{"generators": [[1]], "default": ["a"]}'], 2,
+     "error: group vphi: each item of 'generators' must be a string, got list\n"),
+    (["order", "diagonal", "{}"], 2, "error: order diagonal: missing 'rows'\n"),
+    (["group", "sym-member", '{"sets": [["a"]], "word": "a", "horizon": -1}'], 2,
+     "error: horizon -1 is negative\n"),
 ])
 def test_bounded_inputs_and_exit_codes(capsys, argv, code, message):
     start = time.perf_counter()

@@ -222,6 +222,19 @@ def test_sym_set_certificates_pinned(horizon, length_cap, size, pins):
                                           tuple(W(f) for f in factors))
 
 
+@pytest.mark.parametrize("horizon, message", [
+    (-1, "horizon -1 is negative"),
+    (3, "horizon 3 exceeds the available sets or cap"),
+])
+def test_horizon_outside_the_sets_is_refused(horizon, message):
+    bs = [S("a"), S("b")]
+    for walk in (lambda: sym_member(W("a b"), bs, horizon),
+                 lambda: sym_set(bs, horizon)):
+        with pytest.raises(ValueError) as info:
+            walk()
+        assert str(info.value) == message
+
+
 _HASH_PROBE = """
 import json
 from ordtop.group_topology import FreeGroup, SubsetSpec, sym_set
