@@ -6,7 +6,9 @@ JSON: inline when the argument starts with "[" or "{", from stdin for
 "-", and from the named file otherwise; --json switches the output to
 machine-readable form.  Exit codes: 0 success, 1 failed checks, 2 usage
 or input errors, 3 internal errors (an exception that no input check
-names, reported as one line).
+names).  `main` reports either error as one line that leads with the
+verb and action: `error: <verb> <action>: <message>`, or
+`internal error: <verb> <action>: <Type>: <message>`.
 """
 
 import argparse
@@ -22,7 +24,7 @@ from . import order_lab as ol
 from . import reduced_power as rp
 from . import report as report_mod
 from . import uniformity_lab as ul
-from .suites import UnknownSuiteError, run_suite
+from .suites import run_suite
 
 
 def _read_payload(arg: str):
@@ -43,14 +45,14 @@ def _read_payload(arg: str):
 def _operand(args, i: int):
     """The i-th positional operand; a missing one is an input error."""
     if i >= len(args.args):
-        raise ValueError(f"{args.verb} {args.action} is missing operand {i + 1}")
+        raise ValueError(f"missing operand {i + 1}")
     return args.args[i]
 
 
 _MISSING = object()
 _KIND_NAMES = {dict: "an object", list: "an array", str: "a string",
                int: "an integer", bool: "true or false", (int, float): "a number",
-               (dict, str): "an object or a string"}
+               (int, float, str): "a number or a string"}
 
 
 def _checked(value, kind, what):
@@ -61,25 +63,24 @@ def _checked(value, kind, what):
     return value
 
 
-def _field(data, key, kind, default=_MISSING, verb=None):
+def _field(data, key, kind, default=_MISSING):
     """data[key] checked by `_checked`, or `default` if the key is absent
-    and a default is given; a `verb` leads each message."""
-    lead = f"{verb}: " if verb else ""
+    and a default is given."""
     if not isinstance(data, dict):
-        raise ValueError(f"{lead}expected an object holding {key!r}, "
+        raise ValueError(f"expected an object holding {key!r}, "
                          f"got {type(data).__name__}")
     if key not in data:
         if default is _MISSING:
-            raise ValueError(f"{lead}missing {key!r}")
+            raise ValueError(f"missing {key!r}")
         return default
-    return _checked(data[key], kind, f"{lead}{key!r}")
+    return _checked(data[key], kind, repr(key))
 
 
-def _items(data, key, kind, verb, default=_MISSING):
+def _items(data, key, kind, default=_MISSING):
     """data[key] as by `_field`, an array whose items are each a `kind`."""
-    items = _field(data, key, list, default, verb)
-    for item in items:
-        _checked(item, kind, f"{verb}: each item of {key!r}")
+    items = _field(data, key, list, default)
+    for item in items or ():
+        _checked(item, kind, f"each item of {key!r}")
     return items
 
 
@@ -143,42 +144,35 @@ def cmd_matrix(args):
 
 # --- reduced power ------------------------------------------------------------
 
-def _seq(data) -> rp.EventualSeq:
-    """A sequence from decoded JSON, or from JSON text nested as a string."""
-    return rp.from_json(data) if isinstance(data, str) else rp.from_data(data)
-
-
-def _ball(data, verb) -> tuple:
+def _ball(data) -> tuple:
     """The center and radius sequences of a ball object."""
-    return tuple(_seq(_field(data, key, (dict, str), verb=verb))
-                 for key in ("center", "radius"))
+    return tuple(rp.from_data(_field(data, key, dict)) for key in ("center", "radius"))
 
 
 def cmd_rp(args):
     if args.action == "compare":
-        x = _seq(_read_payload(_operand(args, 0)))
-        y = _seq(_read_payload(_operand(args, 1)))
+        x = rp.from_data(_read_payload(_operand(args, 0)))
+        y = rp.from_data(_read_payload(_operand(args, 1)))
         out = rp.compare_ev(x, y)
         _emit(args, {"compare": out}, out)
     elif args.action == "metric":
-        x = _seq(_read_payload(_operand(args, 0)))
-        y = _seq(_read_payload(_operand(args, 1)))
+        x = rp.from_data(_read_payload(_operand(args, 0)))
+        y = rp.from_data(_read_payload(_operand(args, 1)))
         d = rp.star_metric(x, y)
         _emit(args, json.loads(rp.to_json(d)), rp.to_json(d))
     elif args.action == "interleave":
         payload = _read_payload(_operand(args, 0))
-        instances = [_ball(item, "rp interleave")
-                     for item in _items(payload, "instances", dict, "rp interleave")]
-        out = rp.interleave(instances, _items(payload, "cuts", int, "rp interleave", []))
+        instances = [_ball(item) for item in _items(payload, "instances", dict)]
+        out = rp.interleave(instances, _items(payload, "cuts", int, []))
         _emit(args, {
             "witness": json.loads(rp.to_json(out.witness)),
             "certified": len(out.certificates),
         }, rp.to_json(out.witness))
     elif args.action == "baire":
         payload = _read_payload(_operand(args, 0))
-        ball = rp.Ball(*_ball(_field(payload, "ball", dict), "rp baire"))
-        forbidden = [rp.Ball(*_ball(item, "rp baire"))
-                     for item in _items(payload, "forbidden", dict, "rp baire", [])]
+        ball = rp.Ball(*_ball(_field(payload, "ball", dict)))
+        forbidden = [rp.Ball(*_ball(item))
+                     for item in _items(payload, "forbidden", dict, [])]
         out = rp.baire_witness(ball, forbidden)
         _emit(args, {
             "witness": json.loads(rp.to_json(out.point)),
@@ -189,9 +183,9 @@ def cmd_rp(args):
 
 # --- group ---------------------------------------------------------------------
 
-def _group_from(payload, verb):
-    gens = tuple(_items(payload, "generators", str, verb, ["a", "b"]))
-    if _field(payload, "abelian", bool, False, verb):
+def _group_from(payload):
+    gens = tuple(_items(payload, "generators", str, ["a", "b"]))
+    if _field(payload, "abelian", bool, False):
         return gt.FreeAbelianGroup(gens)
     return gt.FreeGroup(gens)
 
@@ -202,17 +196,17 @@ def cmd_group(args):
             name="rd-lemmas", seed=args.seed, scale=args.scale,
             json=args.json, out=None))
     payload = _read_payload(_operand(args, 0))
-    group = _group_from(payload, f"group {args.action}")
+    group = _group_from(payload)
     if args.action == "sym-member":
         sets = [gt.SubsetSpec.from_texts(group, _checked(texts, list, "a set"))
                 for texts in _field(payload, "sets", list)]
         # any value: `group.parse` names a word that is not a string
-        word = group.parse(_field(payload, "word", object, verb="group sym-member"))
+        word = group.parse(_field(payload, "word", object))
         res = gt.sym_member(word, sets, _field(payload, "horizon", int, len(sets)))
         if res.is_member:
             if not gt.verify_certificate(group, word, sets, res):
-                raise RuntimeError(f"group sym-member: the certificate n={res.n} "
-                                   f"sigma={res.sigma} fails its replay")
+                raise RuntimeError(f"the certificate n={res.n} sigma={res.sigma} "
+                                   f"fails its replay")
             _emit(args, {
                 "member": True,
                 "n": res.n,
@@ -224,23 +218,21 @@ def cmd_group(args):
                   f"NoUpTo({res.horizon})")
     elif args.action == "vphi":
         phi = gt.PhiMap(
-            gt.SubsetSpec.from_texts(
-                group, _items(payload, "default", str, "group vphi")),
-            {group.parse(k): gt.SubsetSpec.from_texts(group, _checked(
-                v, list, "group vphi: each value of 'exceptions'"))
-             for k, v in _field(payload, "exceptions", dict, {}, "group vphi").items()})
-        support = [group.parse(t)
-                   for t in _items(payload, "support", str, "group vphi", ["e"])]
+            gt.SubsetSpec.from_texts(group, _items(payload, "default", str)),
+            {group.parse(k): gt.SubsetSpec.from_texts(
+                group, _checked(v, list, "each value of 'exceptions'"))
+             for k, v in _field(payload, "exceptions", dict, {}).items()})
+        support = [group.parse(t) for t in _items(payload, "support", str, ["e"])]
         out = gt.v_phi(phi, support, group)
         words = sorted(group.format(w) for w in out.words)
         _emit(args, {"words": words}, ", ".join(words) or "e")
     elif args.action == "iofv":
-        pairs = _items(payload, "pairs", list, "group iofv")
+        pairs = _items(payload, "pairs", list)
         if any(len(p) != 2 for p in pairs):
-            raise ValueError("group iofv: each item of 'pairs' must hold two points")
+            raise ValueError("each item of 'pairs' must hold two points")
         group_out, spec = gt.i_of_entourage(
             [tuple(p) for p in pairs],
-            abelian=payload.get("abelian", False))
+            abelian=isinstance(group, gt.FreeAbelianGroup))
         words = sorted(group_out.format(w) for w in spec.words)
         _emit(args, {"words": words}, ", ".join(words))
     return 0
@@ -261,50 +253,48 @@ def _element_from(x, what):
     return element
 
 
-def _poset_from(data, verb) -> ol.FinitePoset:
-    elements = [_element_from(e, f"{verb}: each item of 'elements'")
-                for e in _field(data, "elements", list, verb=verb)]
+def _poset_from(data) -> ol.FinitePoset:
+    elements = [_element_from(e, "each item of 'elements'")
+                for e in _field(data, "elements", list)]
     le = set()
-    for pair in _items(data, "le", list, verb):
+    for pair in _items(data, "le", list):
         if len(pair) != 2:
-            raise ValueError(f"{verb}: each item of 'le' must hold two "
-                             f"elements, got {len(pair)}")
-        le.add(tuple(_element_from(x, f"{verb}: each element of 'le'") for x in pair))
+            raise ValueError(f"each item of 'le' must hold two elements, "
+                             f"got {len(pair)}")
+        le.add(tuple(_element_from(x, "each element of 'le'") for x in pair))
     return ol.FinitePoset(elements, le)
 
 
-def _fnseq_from(data, verb, tail) -> ol.FnSeq:
+def _fnseq_from(data, tail) -> ol.FnSeq:
     """An index sequence {"values": [...], "tail": n}, with `tail` if absent."""
-    return ol.FnSeq(tuple(_items(data, "values", int, verb)),
-                    _field(data, "tail", int, tail, verb))
+    return ol.FnSeq(tuple(_items(data, "values", int)), _field(data, "tail", int, tail))
 
 
 def _branch_indices(payload, key, count):
-    indices = _items(payload, key, int, "order ad-embed")
+    indices = _items(payload, key, int)
     for i in indices:
         if not 0 <= i < count:
-            raise ValueError(f"order ad-embed: {key!r} names branch {i}, "
-                             f"outside 0..{count - 1}")
+            raise ValueError(f"{key!r} names branch {i}, outside 0..{count - 1}")
     return indices
 
 
 def cmd_order(args):
     payload = _checked(_read_payload(_operand(args, 0)), dict, "the payload")
     if args.action == "check-map":
-        verb = "order check-map"
-        d = _poset_from(_field(payload, "domain", dict, verb=verb), verb)
-        e = _poset_from(_field(payload, "codomain", dict, verb=verb), verb)
-        f = {k: _element_from(v, f"{verb}: each value of 'map'")
-             for k, v in _field(payload, "map", dict, verb=verb).items()}
+        d = _poset_from(_field(payload, "domain", dict))
+        e = _poset_from(_field(payload, "codomain", dict))
+        f = {k: _element_from(v, "each value of 'map'")
+             for k, v in _field(payload, "map", dict).items()}
         mono = ol.check_monotone(f, d, e)
         cof = ol.check_cofinal(f, d, e)
         _emit(args, {"monotone": mono, "cofinal": cof},
               f"monotone={mono} cofinal={cof}")
     elif args.action == "ad-embed":
-        branches = [ol.Branch(*(_field(b, key, str, verb="order ad-embed")
-                                for key in ("preperiod", "period")))
-                    for b in _items(payload, "branches", dict, "order ad-embed")]
-        depth = payload.get("depth") or ol.disambiguation_depth(branches)
+        branches = [ol.Branch(*(_field(b, key, str) for key in ("preperiod", "period")))
+                    for b in _items(payload, "branches", dict)]
+        depth = _field(payload, "depth", int, None)
+        if depth is None:
+            depth = ol.disambiguation_depth(branches)
         s, t = ([branches[i] for i in _branch_indices(payload, key, len(branches))]
                 for key in ("s", "t"))
         le = ol.ad_join(s, depth).le(ol.ad_join(t, depth))
@@ -314,7 +304,7 @@ def cmd_order(args):
         return 0 if le == subset else 1
     elif args.action == "diagonal":
         # any value: the check below names rows of the wrong shape
-        rows = _field(payload, "rows", object, verb="order diagonal")
+        rows = _field(payload, "rows", object)
         if not (isinstance(rows, list) and all(
                 isinstance(row, list) and len(row) > i and type(row[i]) is int
                 for i, row in enumerate(rows))):
@@ -325,9 +315,8 @@ def cmd_order(args):
                      "certificate": [list(c) for c in cert]},
               f"z={list(z)}")
     elif args.action == "box":
-        f = _fnseq_from(_field(payload, "f", dict, verb="order box"), "order box", 1)
-        vector = {int(k): expr.number(v) for k, v in
-                  _field(payload, "vector", dict, verb="order box").items()}
+        f = _fnseq_from(_field(payload, "f", dict), 1)
+        vector = {int(k): expr.number(v) for k, v in _field(payload, "vector", dict).items()}
         member = ol.box_nbhd(f).contains(vector)
         _emit(args, {"member": member}, "member" if member else "outside")
     return 0
@@ -340,14 +329,13 @@ def cmd_order(args):
 _LIMITS = {"convergent_sequence": Fraction(0), "metric_fan": "c"}
 
 
-def _space_from(data, verb):
+def _space_from(data):
     """The payload's space kind and the space it describes."""
     kind = _field(data, "kind", str, "convergent_sequence")
     if kind == "convergent_sequence":
-        decomposition = None
-        if "decomposition" in data:
-            decomposition = [frozenset(map(expr.number, part))
-                             for part in _items(data, "decomposition", list, verb)]
+        decomposition = _items(data, "decomposition", list, None)
+        if decomposition is not None:
+            decomposition = [frozenset(map(expr.number, part)) for part in decomposition]
         return kind, ul.convergent_sequence(_field(data, "n_max", int, 100),
                                             decomposition)
     if kind == "metric_fan":
@@ -357,9 +345,9 @@ def _space_from(data, verb):
         table = {tuple(k.split("|")): expr.number(v)
                  for k, v in _field(data, "distances", dict).items()}
         decomposition = [
-            frozenset(_checked(p, str, f"{verb}: each point of a piece") for p in part)
-            for part in _items(data, "decomposition", list, verb)]
-        return kind, ul.finite_table_space(_items(data, "points", str, verb), table,
+            frozenset(_checked(p, str, "each point of a piece") for p in part)
+            for part in _items(data, "decomposition", list)]
+        return kind, ul.finite_table_space(_items(data, "points", str), table,
                                            decomposition)
     raise ValueError(f"unknown space kind {kind!r}")
 
@@ -393,10 +381,9 @@ def _pair_from(payload, kind, space):
 
 def cmd_uniformity(args):
     payload = _read_payload(_operand(args, 0))
-    kind, space = _space_from(_field(payload, "space", dict),
-                              f"uniformity {args.action}")
+    kind, space = _space_from(_field(payload, "space", dict))
     if args.action == "u-alpha":
-        alpha = _fnseq_from(_field(payload, "alpha", dict), "uniformity u-alpha", 0)
+        alpha = _fnseq_from(_field(payload, "alpha", dict), 0)
         x, y = _pair_from(payload, kind, space)
         member = ul.u_alpha_member(space, alpha, x, y)
         _emit(args, {"member": member}, "member" if member else "outside")
@@ -406,9 +393,10 @@ def cmd_uniformity(args):
         radii = {_point_from(kind, json.loads(k) if kind == "metric_fan"
                              and k.startswith("[") else k): expr.number(v)
                  for k, v in _field(payload, "radii", dict).items()}
-        if "default_radius" in payload:
+        default = _field(payload, "default_radius", (int, float, str), None)
+        if default is not None:
             for p in space.points:
-                radii.setdefault(p, expr.number(payload["default_radius"]))
+                radii.setdefault(p, expr.number(default))
         target = ul.SpacedDiagonalNeighbourhood(space, radii)
         out = ul.base_cofinal_search(space, target)
         if isinstance(out, ul.FailureUpTo):
@@ -442,11 +430,7 @@ def cmd_uniformity(args):
 # --- suites and reports ----------------------------------------------------------------
 
 def cmd_suite(args):
-    try:
-        result = run_suite(args.name, seed=args.seed, scale=args.scale)
-    except UnknownSuiteError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = run_suite(args.name, seed=args.seed, scale=args.scale)
     text = report_mod.canonical_json(result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -473,10 +457,13 @@ def cmd_report(args):
 
     reports = []
     for path in args.inputs:
-        for item in _checked(_read_payload(path), list, f"report: {path}"):
+        for item in _checked(_read_payload(path), list, path):
             reports.append(SuiteReport(**{
-                key: _field(item, key, kind, verb="report")
+                key: _field(item, key, kind)
                 for key, kind in _REPORT_FIELDS.items()}))
+            for failure in reports[-1].failures:
+                for key in ("case", "detail", "repro"):
+                    _field(failure, key, object)
     text = report_mod.emit_report(
         reports,
         json_path=args.out and f"{args.out}/report.json",
@@ -559,15 +546,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the one place that names the verb: "suite" and "report" take no action
+    where = " ".join(filter(None, (args.verb, getattr(args, "action", None))))
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"error: {where}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of its input
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"internal error: {where}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

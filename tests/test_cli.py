@@ -51,7 +51,7 @@ def test_field_errors(capsys):
 def test_expression_depth_is_bounded(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == f"error: expression nested deeper than {MAX_DEPTH} levels\n"
+    assert err == f"error: {argv[0]} {argv[1]}: expression nested deeper than {MAX_DEPTH} levels\n"
 
 
 def test_expression_at_depth_cap_parses(capsys):
@@ -71,7 +71,7 @@ def test_powers_are_bounded(capsys, text):
     code, out, err = run(capsys, "field", "eval", text)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err.startswith("error: power coefficients") and err.count("\n") == 1
+    assert err.startswith("error: field eval: power coefficients") and err.count("\n") == 1
 
 
 def test_power_at_coefficient_cap_formats(capsys):
@@ -109,55 +109,58 @@ _CHECK_MAP = {"domain": {"elements": ["x"], "le": [["x", "x"]]},
 
 @pytest.mark.parametrize("argv, code, message", [
     (["rp", "compare", _tail("n^200000"), _tail("n")], 2,
-     f"error: tail degree 200000 exceeds the cap {MAX_TAIL_DEGREE}\n"),
+     f"error: rp compare: tail degree 200000 exceeds the cap {MAX_TAIL_DEGREE}\n"),
     (["rp", "compare", _tail("(n+1)^65"), _tail("n")], 2,
-     f"error: tail degree 65 exceeds the cap {MAX_TAIL_DEGREE}\n"),
+     f"error: rp compare: tail degree 65 exceeds the cap {MAX_TAIL_DEGREE}\n"),
     (["rp", "compare", _tail("2^1000000000000"), _tail("n")], 2,
-     f"error: power coefficients of up to 1000000000000 bits exceed the cap {MAX_POWER_BITS}\n"),
+     f"error: rp compare: power coefficients of up to 1000000000000 bits exceed the cap "
+     f"{MAX_POWER_BITS}\n"),
     (["rp", "compare", _tail("1/(n-100000000)"), _tail("n")], 2,
-     f"error: 100000002 terms past the prefix exceed the settle cap {MAX_SETTLE}\n"),
+     f"error: rp compare: 100000002 terms past the prefix exceed the settle cap {MAX_SETTLE}\n"),
     (["rp", "metric", _tail("n/1000000000"), _tail("0")], 2,
-     f"error: 1000000002 terms past the prefix exceed the settle cap {MAX_SETTLE}\n"),
+     f"error: rp metric: 1000000002 terms past the prefix exceed the settle cap {MAX_SETTLE}\n"),
     (["rp", "compare", '{"tail": 5}', '{"tail": "n"}'], 2,
-     "error: expression must be a string, got int\n"),
-    (["rp", "metric", _tail("n")], 2, "error: rp metric is missing operand 2\n"),
-    (["field", "compare", "a0"], 2, "error: field compare is missing operand 2\n"),
+     "error: rp compare: expression must be a string, got int\n"),
+    (["rp", "metric", _tail("n")], 2, "error: rp metric: missing operand 2\n"),
+    (["field", "compare", "a0"], 2, "error: field compare: missing operand 2\n"),
     (["matrix", "inv", "[1]"], 2,
-     "error: matrix JSON must be an array of arrays of expressions\n"),
+     "error: matrix inv: matrix JSON must be an array of arrays of expressions\n"),
     (["order", "diagonal", '{"rows": 5}'], 2,
-     'error: "rows" must be arrays, row i holding an integer at index i\n'),
+     'error: order diagonal: "rows" must be arrays, row i holding an integer at index i\n'),
     (["group", "sym-member", '{"sets": [["a"]], "word": 5}'], 2,
-     "error: word must be a string, got int\n"),
+     "error: group sym-member: word must be a string, got int\n"),
     (["rp", "compare", '{"prefix": ["1e10000000"], "tail": "n"}', _tail("n")], 2,
-     f"error: number '1e10000000' has a decimal exponent beyond {MAX_EXPONENT}\n"),
+     f"error: rp compare: number '1e10000000' has a decimal exponent beyond {MAX_EXPONENT}\n"),
     (["rp", "compare", '{"prefix": [1e400], "tail": "n"}', _tail("n")], 2,
-     "error: expected a finite number, got inf\n"),
+     "error: rp compare: expected a finite number, got inf\n"),
     (["uniformity", "u-alpha", _u_alpha(
         {"kind": "convergent_sequence", "n_max": 3000000}, ["0", "0"])], 2,
-     f"error: convergent_sequence(3000000) has 3000001 points; the cap is {MAX_POINTS}\n"),
+     f"error: uniformity u-alpha: convergent_sequence(3000000) has 3000001 points; "
+     f"the cap is {MAX_POINTS}\n"),
     (["uniformity", "u-alpha", _u_alpha(
         {"kind": "metric_fan", "spokes": 40, "depth": 40}, ["c", "c"])], 2,
-     f"error: metric_fan(40,40) has 1601 points; the cap is {MAX_POINTS}\n"),
+     f"error: uniformity u-alpha: metric_fan(40,40) has 1601 points; the cap is {MAX_POINTS}\n"),
     (["order", "ad-embed", json.dumps({
         "branches": [{"preperiod": "", "period": "0"}], "s": [0], "t": [0],
         "depth": 8000})], 2,
-     f"error: depth 8000 exceeds the cap {MAX_AD_DEPTH}\n"),
+     f"error: order ad-embed: depth 8000 exceeds the cap {MAX_AD_DEPTH}\n"),
     (["group", "sym-member", "[1]"], 2,
      "error: group sym-member: expected an object holding 'generators', got list\n"),
-    (["matrix", "mul", "[1]"], 2, "error: expected an object holding 'a', got list\n"),
+    (["matrix", "mul", "[1]"], 2, "error: matrix mul: expected an object holding 'a', got list\n"),
     (["rp", "compare", '{"prefix": 5, "tail": "n"}', _tail("n")], 2,
-     "error: sequence prefix must be an array, got int\n"),
+     "error: rp compare: sequence prefix must be an array, got int\n"),
     (["group", "sym-member", '{"sets": 5, "word": "a"}'], 2,
-     "error: 'sets' must be an array, got int\n"),
-    (["order", "check-map", "[1]"], 2, "error: the payload must be an object, got list\n"),
-    (["rp", "baire", "[1]"], 2, "error: expected an object holding 'ball', got list\n"),
+     "error: group sym-member: 'sets' must be an array, got int\n"),
+    (["order", "check-map", "[1]"], 2,
+     "error: order check-map: the payload must be an object, got list\n"),
+    (["rp", "baire", "[1]"], 2, "error: rp baire: expected an object holding 'ball', got list\n"),
     (["uniformity", "u-alpha", _u_alpha(_table(60, _BROKEN), ["p0", "p1"])], 2,
-     "error: triangle inequality fails on 'p0', 'p2', 'p1'\n"),
+     "error: uniformity u-alpha: triangle inequality fails on 'p0', 'p2', 'p1'\n"),
     (["uniformity", "u-alpha", _u_alpha(_table(MAX_POINTS, _BROKEN), ["p0", "p1"])], 2,
-     "error: triangle inequality fails on 'p0', 'p2', 'p1'\n"),
+     "error: uniformity u-alpha: triangle inequality fails on 'p0', 'p2', 'p1'\n"),
     (["uniformity", "u-alpha", _u_alpha(
         _table(3, {"p0|p1": f"1/{2 ** MAX_SCALE_BITS}"}), ["p0", "p1"])], 2,
-     f"error: the distances of table have a common denominator beyond the cap "
+     f"error: uniformity u-alpha: the distances of table have a common denominator beyond the cap "
      f"of {MAX_SCALE_BITS} bits\n"),
     (["uniformity", "u-alpha", _u_alpha(_SEQ, ["0", "0"], [[1]])], 2,
      "error: uniformity u-alpha: each item of 'values' must be an integer, got list\n"),
@@ -208,9 +211,9 @@ _CHECK_MAP = {"domain": {"elements": ["x"], "le": [["x", "x"]]},
     (["group", "sym-member", '{"sets": [["a"]]}'], 2,
      "error: group sym-member: missing 'word'\n"),
     (["field", "eval", "+".join(["1"] * (MAX_TOKENS // 2 + 1))], 2,
-     f"error: expression longer than {MAX_TOKENS} tokens\n"),
+     f"error: field eval: expression longer than {MAX_TOKENS} tokens\n"),
     (["field", "eval", "*".join(["2^14000"] * 5)], 2,
-     f"error: expression numbers pass the size cap of {MAX_BITS} bits\n"),
+     f"error: field eval: expression numbers pass the size cap of {MAX_BITS} bits\n"),
     (["order", "check-map", json.dumps(dict(_CHECK_MAP, domain={"elements": [{"a": 1}], "le": []}))], 2,
      "error: order check-map: each item of 'elements' must be a string, a number "
      'or an array of those, got {"a": 1}\n'),
@@ -229,12 +232,89 @@ _CHECK_MAP = {"domain": {"elements": ["x"], "le": [["x", "x"]]},
      "error: group vphi: each item of 'generators' must be a string, got list\n"),
     (["order", "diagonal", "{}"], 2, "error: order diagonal: missing 'rows'\n"),
     (["group", "sym-member", '{"sets": [["a"]], "word": "a", "horizon": -1}'], 2,
-     "error: horizon -1 is negative\n"),
+     "error: group sym-member: horizon -1 is negative\n"),
+    (["order", "ad-embed", json.dumps({"branches": [_BRANCH, dict(_BRANCH, period="1")],
+                                       "s": [0], "t": [0, 1], "depth": 0})], 2,
+     "error: order ad-embed: depth 0 is below the disambiguation bound 2\n"),
+    (["rp", "baire", json.dumps({"ball": dict(_BALL, center=json.dumps(_BALL["center"]))})], 2,
+     "error: rp baire: 'center' must be an object, got str\n"),
 ])
 def test_bounded_inputs_and_exit_codes(capsys, argv, code, message):
     start = time.perf_counter()
     assert run(capsys, *argv) == (code, "", message)
     assert time.perf_counter() - start < 1
+
+
+_FUZZ_VALUES = [5, -1, 0, "x", "", [], {}, None, True, 1.5, [[1]], {"a": 1}, [5], ["x"]]
+_FUZZ_BALL = {"center": {"prefix": ["0"], "tail": "0"}, "radius": {"prefix": [], "tail": "1/2"}}
+_FUZZ_SPACES = [
+    (_SEQ, ["1/2", "1/4"], {"1/2": "1/10"}),
+    ({"kind": "metric_fan", "spokes": 3, "depth": 4}, [[0, 3], "c"], {"c": "1/2", "[0, 1]": "1/4"}),
+    ({"kind": "table", "points": ["p", "q"], "distances": {"p|q": "1/2"},
+      "decomposition": [["p"]]}, ["p", "q"], {"p": "1/4"}),
+]
+# one valid payload per action that reads a JSON object or array
+_FUZZ_SEEDS = [
+    ("matrix inv", [["1", "a0"], ["0", "1"]]),
+    ("matrix det", [["1", "a0"], ["0", "1"]]),
+    ("matrix mul", {"a": [["1"]], "b": [["a0"]]}),
+    ("matrix ball", {"matrix": [["1", "a0"], ["0", "1"]], "eps": "2*a0"}),
+    ("rp compare", {"prefix": ["0", 1, "1/2"], "tail": "1/n"}),
+    ("rp interleave", {"instances": [_FUZZ_BALL, {
+        "center": {"prefix": [], "tail": "1/8"}, "radius": {"prefix": [], "tail": "1/4"}}],
+        "cuts": [2]}),
+    ("rp baire", {"ball": dict(_FUZZ_BALL, radius={"prefix": [], "tail": "1"}),
+                  "forbidden": [_FUZZ_BALL]}),
+    ("group sym-member", {"generators": ["a", "b"], "word": "b a", "sets": [["a"], ["b"]],
+                          "horizon": 2, "abelian": False}),
+    ("group vphi", {"generators": ["a"], "default": ["a^2"], "exceptions": {"a": ["a"]},
+                    "support": ["e", "a"]}),
+    ("group iofv", {"pairs": [["x", "x"], ["y", "y"], ["x", "y"], ["y", "x"]],
+                    "abelian": True}),
+    ("order check-map", dict(_CHECK_MAP, codomain={"elements": [[0, 1]],
+                                                   "le": [[[0, 1], [0, 1]]]},
+                             map={"x": [0, 1]})),
+    ("order ad-embed", {"branches": [_BRANCH, {"preperiod": "1", "period": "01"}],
+                        "s": [0], "t": [0, 1], "depth": 6}),
+    ("order diagonal", {"rows": [[0, 1], [2, 0]]}),
+    ("order box", {"f": {"values": [1, 2], "tail": 1}, "vector": {"1": "2/5", "2": 0}}),
+    ("report", [{"suite": "order", "seed": 1, "scale": 0.5, "cases": 3, "ok": False,
+                 "failures": [{"case": "c", "detail": "d", "repro": "r"}]}]),
+] + [(f"uniformity {action}", payload) for space, pair, radii in _FUZZ_SPACES
+     for action, payload in [
+         ("u-alpha", {"space": space, "alpha": {"values": [1], "tail": 2}, "pair": pair}),
+         ("cofinal-search", {"space": space, "radii": radii, "default_radius": "1/2"}),
+         ("countable-base", {"space": space, "f_limit": 2, "f_isolated": 1, "pair": pair})]]
+
+
+def _mutants(data):
+    """`data` with itself, and the value at each path inside it, replaced by
+    each of _FUZZ_VALUES, and with each key of each object deleted."""
+    yield from _FUZZ_VALUES
+    items = data.items() if isinstance(data, dict) else \
+        enumerate(data) if isinstance(data, list) else ()
+    for key, child in items:
+        if isinstance(data, dict):
+            yield {k: v for k, v in data.items() if k != key}
+        for mutant in _mutants(child):
+            copy = dict(data) if isinstance(data, dict) else list(data)
+            copy[key] = mutant
+            yield copy
+
+
+@pytest.mark.parametrize("lead, payload", _FUZZ_SEEDS, ids=[
+    f"{lead} {payload['space']['kind']}" if lead.startswith("uniformity") else lead
+    for lead, payload in _FUZZ_SEEDS])
+def test_mutated_payloads_exit_with_one_line(lead, payload):
+    # rp compare reads the mutated sequence against a fixed one
+    other = ['{"prefix": ["0"], "tail": "2/n"}'] if lead == "rp compare" else []
+    assert _run_quietly(lead.split() + [json.dumps(payload)] + other)[0] in (0, 1)
+    for mutant in _mutants(payload):
+        argv = lead.split() + [json.dumps(mutant)] + other
+        code, seconds, err = _run_quietly(argv)
+        assert code in (0, 1, 2) and seconds < 5, (argv, err)
+        if code == 2:
+            assert err.count("\n") == 1 and err.startswith(f"error: {lead}: "), (argv, err)
 
 
 def test_zero_to_a_large_power(capsys):
@@ -367,7 +447,7 @@ def test_sym_member_replays_its_certificate(capsys, monkeypatch):
     forged = gt.SymYes(1, (1,), (gt.FreeGroup(("a", "b")).parse("b"),))
     monkeypatch.setattr(gt, "sym_member", lambda *args: forged)
     assert run(capsys, "group", "sym-member", payload) == (
-        3, "", "internal error: RuntimeError: group sym-member: "
+        3, "", "internal error: group sym-member: RuntimeError: "
                "the certificate n=1 sigma=(1,) fails its replay\n")
 
 
@@ -468,13 +548,12 @@ def test_uniformity_verbs_on_a_fan(capsys):
     assert countable(3, [[0, 2], [2, 4]]) == (0, "outside\n", "")
     assert countable(3, [[0, 2], [0, 2]]) == (0, "member\n", "")
     for pair, message in [
-            (["0", "0"], 'error: a metric_fan point is "c" or [spoke, k], got "0"\n'),
-            ([[0, 1], [0, 2, 3]],
-             'error: a metric_fan point is "c" or [spoke, k], got [0, 2, 3]\n'),
-            (["c", [3, 1]], "error: [3, 1] is not a point of metric_fan(3,4)\n"),
-            (["c"], 'error: "pair" must name two points, got 1\n')]:
-        assert u_alpha(1, pair) == (2, "", message)
-        assert countable(1, pair) == (2, "", message)
+            (["0", "0"], 'a metric_fan point is "c" or [spoke, k], got "0"\n'),
+            ([[0, 1], [0, 2, 3]], 'a metric_fan point is "c" or [spoke, k], got [0, 2, 3]\n'),
+            (["c", [3, 1]], "[3, 1] is not a point of metric_fan(3,4)\n"),
+            (["c"], '"pair" must name two points, got 1\n')]:
+        assert u_alpha(1, pair) == (2, "", f"error: uniformity u-alpha: {message}")
+        assert countable(1, pair) == (2, "", f"error: uniformity countable-base: {message}")
     # a radius key names a point, a spoke point as its JSON text
     for radii, alpha in [({"c": "1/2"}, "alpha=[1] tail=1"),
                          ({"c": "1/32"}, "alpha=[2] tail=2"),
@@ -484,7 +563,8 @@ def test_uniformity_verbs_on_a_fan(capsys):
             (0, f"{alpha} audit=0\n", "")
     code, _, err = run(capsys, "uniformity", "u-alpha", _u_alpha(
         {"kind": "convergent_sequence", "n_max": 8}, ["0", "1/9"]))
-    assert (code, err) == (2, 'error: "1/9" is not a point of convergent_sequence(8)\n')
+    assert (code, err) == (
+        2, 'error: uniformity u-alpha: "1/9" is not a point of convergent_sequence(8)\n')
 
 
 def test_payload_rule(capsys, tmp_path):
@@ -505,7 +585,7 @@ def test_payload_rule(capsys, tmp_path):
     for bad in (str(tmp_path / "missing.json"), str(tmp_path), "x" * 300):
         code, out, err = run(capsys, "uniformity", "cofinal-search", bad)
         assert code == 2 and out == ""
-        assert err.startswith("error: cannot read payload file")
+        assert err.startswith("error: uniformity cofinal-search: cannot read payload file")
         assert err.count("\n") == 1
 
 
